@@ -73,7 +73,10 @@ class SweepSpec:
 
     def axis_values(self):
         span = self.stop - self.start
-        return [self.start + i * span / (self.steps - 1) for i in range(self.steps)]
+        values = [self.start + i * span / (self.steps - 1) for i in range(self.steps)]
+        # the last p can round above stop; past p = 1 alpha2 would turn
+        # negative, so only there is it clamped (to stop = 1)
+        return [min(value, 1.0) for value in values] if self.axis == "p" else values
 
 
 # Figure id -> (quantity, parity); every preset sweeps m = 0..3 over
@@ -118,7 +121,8 @@ def run_sweep(spec):
                 if spec.axis == "alpha2":
                     alpha2, p = value, math.exp(-2.0 * value)
                 else:
-                    alpha2, p = -0.5 * math.log(value), value
+                    # abs() turns the -0.0 of p = 1 into 0.0 and leaves every other value as is
+                    alpha2, p = abs(-0.5 * math.log(value)), value
                 rep = report(ModelParams(alpha2, m, k))
                 row = [_fmt(alpha2), _fmt(p), str(m), str(k)]
                 row += [_fmt(getattr(rep, name)) for name in spec.quantities]
@@ -189,8 +193,7 @@ def _cmd_verify(args):
     header = ["alpha2", "p", "m", "k"] + [f"dev_{name}" for name in field_names] + ["max_abs_deviation"]
     rows = []
     all_pass = True
-    for params in points:
-        record = fock_oracle.verify(params, nmax=args.nmax_override)
+    for params, record in zip(points, fock_oracle.verify_points(points, nmax=args.nmax_override)):
         ok = record.passes(bound_override=args.tolerance)
         all_pass = all_pass and ok
         row = [_fmt(params.alpha2), _fmt(params.p), str(params.m), str(params.k)]

@@ -2,12 +2,16 @@
 
 Every state is rebuilt from explicit photon-number amplitudes: overlaps come
 from amplitude summation, reduced densities from partial traces, spectra from
-a cyclic Jacobi eigensolver, concurrence from the spin-flip spectrum, and
-discord from direct minimization of the post-measurement conditional entropy
-over projective qubit measurements (coarse Bloch-angle grid followed by a
-Nelder-Mead refinement).  None of the closed forms from `states` or
-`correlations` enter these code paths; the single shared primitive is the
-binary entropy.
+LAPACK (numpy.linalg.eigvalsh/eigh), concurrence from the spin-flip spectrum,
+and discord from direct minimization of the post-measurement conditional
+entropy over projective qubit measurements.  None of the closed forms from
+`states` or `correlations` enter these code paths; the single shared
+primitive is the binary entropy.
+
+The discord minimizer works on the real Bloch form (r, s, T) of each 4x4
+density, where outcome weights and conditional states are closed expressions
+in the measurement direction: a 64x64 (theta, phi) grid pass, then zoom
+stencil rounds run on a whole stack of densities at once.
 
 Per mode, the pair {|alpha,m>, |-alpha,m>} spans a two-dimensional subspace
 that is orthonormalized from its numerically computed Gram matrix into the
@@ -15,6 +19,7 @@ even/odd combinations, so reduced densities land in exactly the encoded
 basis used by the closed forms and can be compared entrywise.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +34,6 @@ __all__ = [
     "TruncationError",
     "FockVector",
     "DensityMatrix",
-    "MeasurementPoint",
     "TripartiteState",
     "VerificationRecord",
     "FIELD_BOUNDS",
@@ -37,7 +41,6 @@ __all__ = [
     "coherent_vector",
     "add_photons",
     "inner",
-    "jacobi_eigh",
     "partial_trace",
     "von_neumann_entropy",
     "wootters_concurrence",
@@ -46,6 +49,7 @@ __all__ = [
     "build_bell_pair",
     "discord_numeric",
     "verify",
+    "verify_points",
     "verification_grid",
 ]
 
@@ -140,53 +144,6 @@ def add_photons(vec, m, normalize=True):
     return FockVector(amp)
 
 
-def jacobi_eigh(matrix, vectors=False, tol=1e-14, max_sweeps=60):
-    """Eigendecomposition of a Hermitian matrix by row-cyclic Jacobi rotations.
-
-    The fixed sweep order and convergence threshold make the spectra
-    bit-reproducible between runs.  Returns the eigenvalues in ascending
-    order, plus the eigenvector columns when ``vectors=True``.
-    """
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex) if vectors else None
-    scale = max(1.0, float(np.abs(a).max()))
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float(np.sum(np.abs(a) ** 2) - np.sum(np.abs(np.diag(a)) ** 2))))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                size = abs(apq)
-                if size <= 0.0:
-                    continue
-                phase = apq / size
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * size)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n, dtype=complex)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s * phase
-                rot[q, p] = -s * np.conj(phase)
-                a = rot.conj().T @ a @ rot
-                if v is not None:
-                    v = v @ rot
-    else:
-        raise RuntimeError("Jacobi sweeps failed to converge")
-    eigvals = np.diag(a).real.copy()
-    order = np.argsort(eigvals, kind="stable")
-    eigvals = eigvals[order]
-    if vectors:
-        return eigvals, v[:, order]
-    return eigvals
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Density matrix on a labeled tensor product of qubit-sized subsystems."""
@@ -196,9 +153,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
-        size = 1
-        for d in dims:
-            size *= d
+        size = math.prod(dims)
         data = np.array(self.data, dtype=complex)
         if data.shape != (size, size):
             raise ValueError(f"data shape {data.shape} does not match dims {dims}")
@@ -210,35 +165,15 @@ class DensityMatrix:
             raise ValueError(f"trace must be 1, got {trace!r}")
         if float(np.abs(data - data.conj().T).max()) > 1e-10:
             raise ValueError("matrix is not Hermitian within tolerance")
-        if size > 1 and float(jacobi_eigh(data)[0]) < -1e-9:
+        if size > 1 and float(np.linalg.eigvalsh(data)[0]) < -1e-9:
             raise ValueError("matrix has a negative eigenvalue beyond tolerance")
 
     def eigenvalues(self):
         """Spectrum in ascending order."""
-        return jacobi_eigh(self.data)
+        return np.linalg.eigvalsh(self.data)
 
     def purity(self):
         return float(np.trace(self.data @ self.data).real)
-
-
-@dataclass(frozen=True)
-class MeasurementPoint:
-    """Bloch angles of a rank-1 projective qubit measurement."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2 pi), got {self.phi!r}")
-
-    def spinor(self):
-        return np.array(
-            [math.cos(0.5 * self.theta), complex(math.cos(self.phi), math.sin(self.phi)) * math.sin(0.5 * self.theta)],
-            dtype=complex,
-        )
 
 
 def partial_trace(rho, keep):
@@ -259,9 +194,7 @@ def partial_trace(rho, keep):
         tensor = np.trace(tensor, axis1=axis, axis2=axis + (n - removed))
         removed += 1
     dims = tuple(rho.dims[i] for i in keep)
-    size = 1
-    for d in dims:
-        size *= d
+    size = math.prod(dims)
     return DensityMatrix(tensor.reshape(size, size), dims)
 
 
@@ -269,7 +202,7 @@ def von_neumann_entropy(rho):
     """- sum_i lambda_i log2 lambda_i over the spectrum (0 log 0 = 0)."""
     data = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     total = 0.0
-    for lam in jacobi_eigh(data):
+    for lam in np.linalg.eigvalsh(data):
         if lam > 1e-300:
             total -= lam * math.log2(lam)
     return total
@@ -286,6 +219,13 @@ _SY_SY = np.array(
 )
 
 
+def _psd_sqrt(data):
+    """Principal square root of a positive semidefinite Hermitian matrix,
+    with eigenvalues below zero (eigensolver noise) clipped to zero."""
+    lam, vec = np.linalg.eigh(data)
+    return (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
+
+
 def wootters_concurrence(rho):
     """max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of the
     spectrum of rho (sy x sy) rho* (sy x sy).
@@ -299,13 +239,12 @@ def wootters_concurrence(rho):
     data = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if data.shape != (4, 4):
         raise ValueError("concurrence is defined for 4x4 two-qubit densities")
-    lam, vec = jacobi_eigh(data, vectors=True)
-    root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
+    root = _psd_sqrt(data)
     product = root @ _SY_SY @ root.conj()
     dilation = np.zeros((8, 8), dtype=complex)
     dilation[:4, 4:] = product
     dilation[4:, :4] = product.conj().T
-    spectrum = jacobi_eigh(dilation)
+    spectrum = np.linalg.eigvalsh(dilation)
     lams = np.clip(spectrum[4:][::-1], 0.0, None)
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
@@ -348,138 +287,182 @@ class TripartiteState:
         return complex(np.einsum("ijk,i,j,k->", self.weights, b1[:, n1], b2[:, n2], b3[:, n3]))
 
 
-def _require_regular(params):
+def _mode_pairs(params, nmax):
+    """The (excited, plain) cat pairs of one parameter point; each coherent
+    vector is built once and shared by both pairs."""
     if params.is_degenerate:
         raise LimitRegimeError(
             f"odd-parity state degenerates for |alpha|^2 < {DEGENERATE_ALPHA2}"
         )
+    if nmax is None:
+        nmax = default_nmax(params.alpha2, params.m)
+    alpha = math.sqrt(params.alpha2)
+    plus = coherent_vector(alpha, nmax)
+    minus = coherent_vector(-alpha, nmax)
+    return _mode_pair(add_photons(plus, params.m), add_photons(minus, params.m)), _mode_pair(plus, minus)
+
+
+def _superposition(params, modes):
+    """Normalized weights of |alpha..> + sign |-alpha..> over the given mode
+    pairs (one tensor axis per mode) and the norm of the raw sum."""
+    forward = functools.reduce(np.multiply.outer, [mode.plus_coords for mode in modes])
+    backward = functools.reduce(np.multiply.outer, [mode.minus_coords for mode in modes])
+    raw = forward + params.sign * backward
+    norm = math.sqrt(float(np.sum(np.abs(raw) ** 2)))
+    if norm < 1e-9:
+        raise ValueError("superposition vector vanishes at this parameter point")
+    return raw / norm, norm
+
+
+def _projector(weights):
+    vec = weights.reshape(-1)
+    return DensityMatrix(np.outer(vec, vec.conj()), (2,) * weights.ndim)
 
 
 def tripartite_state(params, nmax=None):
     """Three-mode superposition reduced to its 2x2x2 subspace, with the
     per-mode Fock bases retained for reconstruction."""
-    _require_regular(params)
-    if nmax is None:
-        nmax = default_nmax(params.alpha2, params.m)
-    alpha = math.sqrt(params.alpha2)
-    excited = _mode_pair(
-        add_photons(coherent_vector(alpha, nmax), params.m),
-        add_photons(coherent_vector(-alpha, nmax), params.m),
-    )
-    plain = _mode_pair(coherent_vector(alpha, nmax), coherent_vector(-alpha, nmax))
-    forward = np.einsum("i,j,k->ijk", excited.plus_coords, plain.plus_coords, plain.plus_coords)
-    backward = np.einsum("i,j,k->ijk", excited.minus_coords, plain.minus_coords, plain.minus_coords)
-    raw = forward + params.sign * backward
-    norm = math.sqrt(float(np.sum(np.abs(raw) ** 2)))
-    if norm < 1e-9:
-        raise ValueError("superposition vector vanishes at this parameter point")
-    return TripartiteState(raw / norm, (excited, plain, plain), 1.0 / norm)
+    excited, plain = _mode_pairs(params, nmax)
+    modes = (excited, plain, plain)
+    weights, norm = _superposition(params, modes)
+    return TripartiteState(weights, modes, 1.0 / norm)
 
 
 def build_tripartite(params, nmax=None):
     """Pure-state projector of the GHZ-type superposition on the 2x2x2
     subspace spanned by the per-mode cat pairs."""
-    state = tripartite_state(params, nmax)
-    vec = state.weights.reshape(8)
-    return DensityMatrix(np.outer(vec, vec.conj()), (2, 2, 2))
+    return _projector(tripartite_state(params, nmax).weights)
 
 
 def build_bell_pair(params, nmax=None):
     """Quasi-Bell pure pair (excited mode 1 with a plain mode 2) as a 4x4
     projector in the cat-basis subspace."""
-    _require_regular(params)
-    if nmax is None:
-        nmax = default_nmax(params.alpha2, params.m)
-    alpha = math.sqrt(params.alpha2)
-    excited = _mode_pair(
-        add_photons(coherent_vector(alpha, nmax), params.m),
-        add_photons(coherent_vector(-alpha, nmax), params.m),
-    )
-    plain = _mode_pair(coherent_vector(alpha, nmax), coherent_vector(-alpha, nmax))
-    raw = np.outer(excited.plus_coords, plain.plus_coords) + params.sign * np.outer(
-        excited.minus_coords, plain.minus_coords
-    )
-    norm = math.sqrt(float(np.sum(np.abs(raw) ** 2)))
-    if norm < 1e-9:
-        raise ValueError("superposition vector vanishes at this parameter point")
-    vec = (raw / norm).reshape(4)
-    return DensityMatrix(np.outer(vec, vec.conj()), (2, 2))
+    return _projector(_superposition(params, _mode_pairs(params, nmax))[0])
 
 
 _THETA_POINTS = 64
 _PHI_POINTS = 64
+# Zoom refinement: each round evaluates a 9x9 stencil spanning +- the
+# round's (theta, phi) half-widths.  They start at one grid step and shrink
+# 4x per round, so each stencil spans the neighbouring cells of the previous
+# round's best point; the last round is the first with both <= 1e-10 rad.
+_STENCIL = np.arange(-4, 5) / 4.0
+_HALF_WIDTHS = np.array([math.pi / (_THETA_POINTS - 1), 2.0 * math.pi / _PHI_POINTS])
+_HALF_WIDTHS = _HALF_WIDTHS / 4.0 ** np.arange(1 + math.ceil(math.log(_HALF_WIDTHS.max() / 1e-10, 4)))[:, None]
+
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _directions(theta, phi):
+    """Unit Bloch vectors on each row's (theta, phi) product grid: theta of
+    shape (B, a) and phi of shape (B, b) give (B, a * b, 3), theta-major."""
+    sin_t, cos_t = np.sin(theta)[:, :, None], np.cos(theta)[:, :, None]
+    n = np.stack(np.broadcast_arrays(sin_t * np.cos(phi)[:, None, :], sin_t * np.sin(phi)[:, None, :], cos_t), axis=-1)
+    return n.reshape(len(theta), theta.shape[1] * phi.shape[1], 3)
+
+
+# The grid's rows theta and pi - theta, with phi and phi + pi, hold the
+# directions n and -n: one measurement with its two outcomes swapped.  Only
+# the rows theta < pi/2 are evaluated.
+_GRID_PHI = np.linspace(0.0, 2.0 * math.pi, _PHI_POINTS, endpoint=False)
+_GRID_DIRECTIONS = _directions(np.linspace(0.0, math.pi, _THETA_POINTS)[None, : _THETA_POINTS // 2], _GRID_PHI[None])
 
 
 def _xlog2x(values):
-    values = np.clip(values, 0.0, None)
-    out = np.zeros_like(values)
-    mask = values > 1e-300
-    out[mask] = values[mask] * np.log2(values[mask])
-    return out
+    return np.where(values > 1e-300, values * np.log2(np.maximum(values, 1e-300)), 0.0)
 
 
-def _conditional_entropy(tensor, other_marginal, angles):
-    """Post-measurement conditional entropy sum_b p_b S(rho_b) for rank-1
-    projective measurements at the given (theta, phi) rows; the measured
-    side is the first tensor factor of ``tensor`` (shape (2,2,2,2))."""
-    theta = angles[:, 0]
-    phi = angles[:, 1]
-    spinors = np.empty((angles.shape[0], 2), dtype=complex)
-    spinors[:, 0] = np.cos(0.5 * theta)
-    spinors[:, 1] = np.exp(1j * phi) * np.sin(0.5 * theta)
-    branch = np.einsum("na,ajbl,nb->njl", spinors.conj(), tensor, spinors)
-    total = np.zeros(angles.shape[0])
-    for sigma in (branch, other_marginal[None, :, :] - branch):
-        top = sigma[:, 0, 0].real
-        bottom = sigma[:, 1, 1].real
-        off = sigma[:, 0, 1]
-        mid = 0.5 * (top + bottom)
-        rad = np.sqrt(0.25 * (top - bottom) ** 2 + (off * off.conj()).real)
-        weight = top + bottom
-        # p S(sigma/p) = p log2 p - sum_i lam_i log2 lam_i  (lam unnormalized)
-        total += _xlog2x(weight) - _xlog2x(mid - rad) - _xlog2x(mid + rad)
+def _conditional_entropy(corr, n):
+    """Post-measurement conditional entropy sum_+- p S(rho_+-) of the
+    unmeasured qubit for the projective measurement along each direction.
+
+    ``corr`` is a (B, 4, 4) stack of Pauli correlation matrices (measured
+    qubit first, see `discord_numeric`) and ``n`` holds unit directions of
+    shape (B, K, 3) or (1, K, 3); the result has shape (B, K).  Outcome +-
+    occurs with weight p = (1 +- n.r)/2 and leaves the conditional Bloch
+    vector v = (s +- T^T n)/2, whose unnormalized state has eigenvalues
+    (p +- |v|)/2.  Dot products are written out term by term so that every
+    entry is computed the same way whatever the stack size.
+    """
+    local = corr[:, None, 0, :]
+    shift = n[..., 0, None] * corr[:, None, 1, :] + n[..., 1, None] * corr[:, None, 2, :]
+    shift = shift + n[..., 2, None] * corr[:, None, 3, :]
+    total = 0.0
+    for w in (local + shift, local - shift):
+        p = 0.5 * w[..., 0]
+        v = 0.5 * np.sqrt(w[..., 1] * w[..., 1] + w[..., 2] * w[..., 2] + w[..., 3] * w[..., 3])
+        # p S(rho/p) = p log2 p - sum_i lam_i log2 lam_i  (lam unnormalized)
+        total = total + _xlog2x(p) - _xlog2x(0.5 * (p + v)) - _xlog2x(0.5 * (p - v))
     return total
+
+
+def _min_conditional_entropy(corr):
+    """Minimum conditional entropy over measurement directions for each
+    density of the (B, 4, 4) stack ``corr``.
+
+    Each density's grid pass runs on its own (stacking it would multiply
+    peak memory).  Its minimum is then rotated onto the equator of a local
+    chart, so that no stencil has to work across a chart pole, where phi
+    steps shrink to nothing and a minimum a little off the pole is out of
+    reach.  The zoom rounds run on the whole stack in those charts; a centre
+    moves only when its stencil improves on it, so the result never exceeds
+    the grid minimum.
+    """
+    best = np.empty(len(corr))
+    local = corr.copy()
+    for i in range(len(corr)):
+        values = _conditional_entropy(corr[i : i + 1], _GRID_DIRECTIONS)[0]
+        pick = int(np.argmin(values))
+        best[i] = values[pick]
+        # R = [n, phi-hat, n x phi-hat = -theta-hat] carries the chart point
+        # (pi/2, 0) onto n, with chart steps along theta-hat and phi-hat;
+        # n = R n' turns n.r into n'.(R^T r) and T^T n into (R^T T)^T n'
+        n, phi = _GRID_DIRECTIONS[0, pick], _GRID_PHI[pick % _PHI_POINTS]
+        phi_hat = np.array([-math.sin(phi), math.cos(phi), 0.0])
+        local[i, 1:] = np.column_stack([n, phi_hat, np.cross(n, phi_hat)]).T @ corr[i, 1:]
+    rows = np.arange(len(corr))
+    centre = np.tile([0.5 * math.pi, 0.0], (len(corr), 1))
+    for half_theta, half_phi in _HALF_WIDTHS:
+        theta = centre[:, 0, None] + half_theta * _STENCIL
+        phi = centre[:, 1, None] + half_phi * _STENCIL
+        values = _conditional_entropy(local, _directions(theta, phi))
+        pick = np.argmin(values, axis=1)
+        low = values[rows, pick]
+        better = low < best
+        best = np.where(better, low, best)
+        moved = np.column_stack([theta[rows, pick // _STENCIL.size], phi[rows, pick % _STENCIL.size]])
+        centre = np.where(better[:, None], moved, centre)
+    return best
 
 
 def discord_numeric(rho, measured=0):
     """Measurement-based quantum discord with a rank-1 projective measurement
     on the ``measured`` qubit (0 = left factor, 1 = right factor).
 
-    The conditional entropy is minimized on a 64x64 (theta, phi) grid and the
-    best cell is refined with a Nelder-Mead simplex (angle tolerance 1e-10);
-    the result is S_measured - S_joint + min conditional entropy.
+    ``rho`` is one two-qubit DensityMatrix, giving a float, or a sequence of
+    them, giving a list of floats from one stacked minimization.  The
+    conditional entropy is minimized on a 64x64 (theta, phi) grid, refined
+    by zoom rounds of a 9x9 stencil down to 1e-10 rad; the result is
+    S_measured - S_joint + min conditional entropy.
     """
-    if tuple(rho.dims) != (2, 2):
-        raise ValueError("discord is computed for two-qubit densities")
-    tensor = rho.data.reshape(2, 2, 2, 2)
-    if measured == 1:
-        tensor = tensor.transpose(1, 0, 3, 2)
-    elif measured != 0:
+    single = isinstance(rho, DensityMatrix)
+    densities = [rho] if single else list(rho)
+    if measured not in (0, 1):
         raise ValueError("measured side must be 0 or 1")
-    measured_marginal = np.einsum("ajbj->ab", tensor)
-    other_marginal = np.einsum("jajb->ab", tensor)
-    s_measured = von_neumann_entropy(measured_marginal)
-    s_joint = von_neumann_entropy(rho)
-
-    theta = np.linspace(0.0, math.pi, _THETA_POINTS)
-    phi = np.linspace(0.0, 2.0 * math.pi, _PHI_POINTS, endpoint=False)
-    grid_t, grid_p = np.meshgrid(theta, phi, indexing="ij")
-    angles = np.column_stack([grid_t.ravel(), grid_p.ravel()])
-    values = _conditional_entropy(tensor, other_marginal, angles)
-    best = int(np.argmin(values))
-    from scipy.optimize import minimize
-
-    def objective(x):
-        return float(_conditional_entropy(tensor, other_marginal, x.reshape(1, 2))[0])
-
-    refined = minimize(
-        objective,
-        angles[best],
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 400},
-    )
-    s_conditional = min(float(values[best]), float(refined.fun))
-    return s_measured - s_joint + s_conditional
+    corr = np.empty((len(densities), 4, 4))
+    base = []
+    for i, density in enumerate(densities):
+        if tuple(density.dims) != (2, 2):
+            raise ValueError("discord is computed for two-qubit densities")
+        tensor = density.data.reshape(2, 2, 2, 2)
+        if measured == 1:
+            tensor = tensor.transpose(1, 0, 3, 2)
+        # R[mu, nu] = Tr[rho (sigma_mu x sigma_nu)] with sigma_0 = 1: R[i, 0] = r_i
+        # and R[0, j] = s_j are the local Bloch vectors, R[i, j] = T_ij
+        corr[i] = np.einsum("ajbl,mba,nlj->mn", tensor, _PAULI, _PAULI).real
+        base.append(von_neumann_entropy(np.einsum("ajbj->ab", tensor)) - von_neumann_entropy(density))
+    values = [float(s + c) for s, c in zip(base, _min_conditional_entropy(corr))]
+    return values[0] if single else values
 
 
 # Closed-form-vs-oracle tolerance per report field: entropy, concurrence and
@@ -542,45 +525,51 @@ def _eof(concurrence):
     return binary_entropy(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
 
 
+def verify_points(points, nmax=None):
+    """Compare every closed-form report field against its brute-force value
+    at each parameter point, in order; the discords of all points come from
+    one stacked minimization."""
+    points = list(points)
+    fields, reduced = [], []
+    for params in points:
+        excited, plain = _mode_pairs(params, nmax)
+        rho123 = _projector(_superposition(params, (excited, plain, plain))[0])
+        rho12 = partial_trace(rho123, (0, 1))
+        rho23 = partial_trace(rho123, (1, 2))
+        rho1 = partial_trace(rho123, (0,))
+        s1 = von_neumann_entropy(rho1)
+        c12 = wootters_concurrence(_projector(_superposition(params, (excited, plain))[0]))
+        c23 = wootters_concurrence(rho23)
+        c13 = wootters_concurrence(rho12)
+        lam1 = np.clip(rho1.eigenvalues(), 0.0, None)
+        fields.append({
+            "S1": s1,
+            "S2": von_neumann_entropy(partial_trace(rho123, (1,))),
+            "S12": von_neumann_entropy(rho12),
+            "S23": von_neumann_entropy(rho23),
+            "C12_conc": c12,
+            "C23_conc": c23,
+            "C13_conc": c13,
+            "C1_23_conc": 2.0 * math.sqrt(float(lam1[0] * lam1[1])),
+            "E12": _eof(c12),
+            "E23": _eof(c23),
+            "E13": _eof(c13),
+            "E1_23": s1,
+        })
+        reduced += [rho12, rho23]
+    discords = discord_numeric(reduced, measured=0)
+    records = []
+    for params, oracle, d12, d23 in zip(points, fields, discords[0::2], discords[1::2]):
+        oracle.update({"D12": d12, "D23": d23, "D1_23": oracle["S1"], "Delta123": oracle["S1"] - 2.0 * d12})
+        closed = report(params).as_dict()
+        deviations = {name: closed[name] - value for name, value in oracle.items()}
+        records.append(VerificationRecord(params, deviations, dict(FIELD_BOUNDS)))
+    return records
+
+
 def verify(params, nmax=None):
     """Compare every closed-form report field against its brute-force value."""
-    closed = report(params).as_dict()
-    rho123 = build_tripartite(params, nmax)
-    rho12 = partial_trace(rho123, (0, 1))
-    rho23 = partial_trace(rho123, (1, 2))
-    rho1 = partial_trace(rho123, (0,))
-    rho2 = partial_trace(rho123, (1,))
-
-    s1 = von_neumann_entropy(rho1)
-    c23 = wootters_concurrence(rho23)
-    c13 = wootters_concurrence(rho12)
-    lam1 = np.clip(rho1.eigenvalues(), 0.0, None)
-    c1_23 = 2.0 * math.sqrt(float(lam1[0] * lam1[1]))
-    bell = build_bell_pair(params, nmax)
-    c12 = wootters_concurrence(bell)
-    d12 = discord_numeric(rho12, measured=0)
-    d23 = discord_numeric(rho23, measured=0)
-
-    oracle = {
-        "S1": s1,
-        "S2": von_neumann_entropy(rho2),
-        "S12": von_neumann_entropy(rho12),
-        "S23": von_neumann_entropy(rho23),
-        "C12_conc": c12,
-        "C23_conc": c23,
-        "C13_conc": c13,
-        "C1_23_conc": c1_23,
-        "E12": _eof(c12),
-        "E23": _eof(c23),
-        "E13": _eof(c13),
-        "E1_23": s1,
-        "D12": d12,
-        "D23": d23,
-        "D1_23": s1,
-        "Delta123": s1 - 2.0 * d12,
-    }
-    deviations = {name: closed[name] - value for name, value in oracle.items()}
-    return VerificationRecord(params, deviations, dict(FIELD_BOUNDS))
+    return verify_points([params], nmax)[0]
 
 
 def verification_grid(alpha2_start=0.1, alpha2_stop=4.0, alpha2_steps=40, m_values=(0, 1, 2, 3, 4), k_values=(0, 1)):

@@ -109,6 +109,19 @@ class TestSweepCommand:
             assert format(rep.D12, ".17g") == row["D12"]
             assert format(rep.E12, ".17g") == row["E12"]
 
+    def test_p_axis_reaches_one(self, tmp_path):
+        # the last grid value rounds above stop = 1 unless it is clamped
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--axis", "p", "--start", "0.289766", "--stop", "1.0", "--steps", "50", "--m", "6",
+             "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        rows = read_rows(out)
+        assert len(rows) == 50
+        assert (rows[-1]["alpha2"], rows[-1]["p"]) == ("0", "1")
+        assert all(float(row["p"]) <= 1.0 for row in rows)
+
     def test_unknown_quantity_exits_with_usage_error(self, tmp_path):
         code = main(
             ["sweep", "--start", "1", "--stop", "2", "--steps", "2", "--quantities", "nope",
@@ -188,6 +201,15 @@ class TestVerifyCommand:
              "--tolerance", "1e-18", "--out", str(tmp_path / "verify.csv")]
         )
         assert code == EXIT_VERIFY
+
+    def test_determinism(self, tmp_path):
+        args = ["verify", "--start", "0.2", "--stop", "2.0", "--steps", "3", "--m", "0", "3", "--k", "0", "1",
+                "--out"]
+        first = tmp_path / "a.csv"
+        second = tmp_path / "b.csv"
+        assert main(args + [str(first)]) == EXIT_OK
+        assert main(args + [str(second)]) == EXIT_OK
+        assert first.read_bytes() == second.read_bytes()
 
     def test_nmax_override(self, tmp_path):
         code = main(

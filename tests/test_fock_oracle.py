@@ -14,11 +14,11 @@ from pacsqc.states import (
     ghz_split_1_23,
 )
 from pacsqc import correlations
+from pacsqc.fock_oracle import _psd_sqrt
 from pacsqc.fock_oracle import (
     FIELD_BOUNDS,
     DensityMatrix,
     FockVector,
-    MeasurementPoint,
     TruncationError,
     add_photons,
     build_bell_pair,
@@ -27,16 +27,57 @@ from pacsqc.fock_oracle import (
     default_nmax,
     discord_numeric,
     inner,
-    jacobi_eigh,
     partial_trace,
     tripartite_state,
     verification_grid,
     verify,
+    verify_points,
     von_neumann_entropy,
     wootters_concurrence,
 )
 
 DISCORD_FIELDS = ("D12", "D23", "Delta123")
+
+
+def random_densities(count, seed):
+    rng = np.random.default_rng(seed)
+    densities = []
+    for _ in range(count):
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = raw @ raw.conj().T
+        densities.append(DensityMatrix(rho / np.trace(rho).real, (2, 2)))
+    return densities
+
+
+def brute_force_discord(rho, points=256):
+    """Discord measuring the left qubit, minimized over a dense points x points
+    (theta, phi) grid of projectors applied to the density matrix itself."""
+    theta, phi = np.meshgrid(
+        np.linspace(0.0, math.pi, points), np.linspace(0.0, 2.0 * math.pi, points, endpoint=False), indexing="ij"
+    )
+    spinors = np.stack([np.cos(0.5 * theta), np.exp(1j * phi) * np.sin(0.5 * theta)], axis=-1).reshape(-1, 2)
+    tensor = rho.data.reshape(2, 2, 2, 2)
+    branch = np.einsum("na,ajbl,nb->njl", spinors.conj(), tensor, spinors)
+    other = np.einsum("jajb->ab", tensor)
+    conditional = np.zeros(len(spinors))
+    for sigma in (branch, other - branch):
+        lam = np.clip(np.linalg.eigvalsh(sigma), 1e-300, None)
+        weight = lam.sum(axis=1)
+        conditional += weight * np.log2(weight) - np.sum(lam * np.log2(lam), axis=1)
+    s_measured = von_neumann_entropy(np.einsum("ajbj->ab", tensor))
+    return s_measured - von_neumann_entropy(rho) + float(conditional.min())
+
+
+def classical_quantum(theta, phi):
+    """Equal mixture of |n><n| x |0><0| and |-n><-n| x |+><+| for the Bloch
+    direction n(theta, phi): measuring the left qubit along n disturbs
+    nothing, so its discord is zero with the optimum at (theta, phi)."""
+    up = np.array([math.cos(0.5 * theta), np.exp(1j * phi) * math.sin(0.5 * theta)])
+    down = np.array([-np.exp(-1j * phi) * math.sin(0.5 * theta), math.cos(0.5 * theta)])
+    zero = np.diag([1.0, 0.0])
+    plus = np.full((2, 2), 0.5)
+    rho = 0.5 * np.kron(np.outer(up, up.conj()), zero) + 0.5 * np.kron(np.outer(down, down.conj()), plus)
+    return DensityMatrix(rho, (2, 2))
 
 
 class TestFockVectors:
@@ -88,22 +129,34 @@ class TestFockVectors:
 
 
 class TestJacobiEigensolver:
+    """Spectra and square roots the oracle takes from numpy.linalg (LAPACK).
+
+    These replaced a cyclic Jacobi routine; the class keeps its name so the
+    test ids stay stable.
+    """
+
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
     def test_matches_lapack(self, n):
+        # spectrum order on DensityMatrix.eigenvalues against known values
         rng = np.random.default_rng(7 + n)
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h = raw + raw.conj().T
-        assert_allclose(jacobi_eigh(h), np.linalg.eigvalsh(h), atol=1e-12)
+        unitary, _ = np.linalg.qr(raw)
+        known = rng.permutation(np.arange(1, n + 1) / (n * (n + 1) / 2))
+        rho = DensityMatrix((unitary * known) @ unitary.conj().T, (n,))
+        assert_allclose(rho.eigenvalues(), np.sort(known), atol=1e-12)
 
     def test_eigenvectors_reconstruct(self):
+        # the square root that wootters_concurrence builds from eigenvectors
         rng = np.random.default_rng(3)
-        raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        h = raw + raw.conj().T
-        lam, vec = jacobi_eigh(h, vectors=True)
-        assert_allclose((vec * lam) @ vec.conj().T, h, atol=1e-12)
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = raw @ raw.conj().T
+        root = _psd_sqrt(rho)
+        assert_allclose(root, root.conj().T, atol=1e-12)
+        assert_allclose(root @ root, rho, atol=1e-12)
 
     def test_diagonal_input(self):
-        assert_allclose(jacobi_eigh(np.diag([3.0, 1.0, 2.0]).astype(complex)), [1.0, 2.0, 3.0])
+        rho = DensityMatrix(np.diag([0.5, 0.2, 0.3]).astype(complex), (3,))
+        assert_allclose(rho.eigenvalues(), [0.2, 0.3, 0.5])
 
 
 class TestDensityMatrix:
@@ -245,17 +298,26 @@ class TestTripartiteBuilder:
             assert oracle == pytest.approx(correlations.bell_concurrence(params), abs=1e-8)
 
 
-class TestMeasurementPoint:
-    def test_ranges(self):
-        with pytest.raises(ValueError):
-            MeasurementPoint(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            MeasurementPoint(0.5, 7.0)
-        spin = MeasurementPoint(math.pi / 2.0, 0.0).spinor()
-        assert_allclose(np.abs(spin), [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
-
-
 class TestDiscordNumeric:
+    def test_stacked_equals_single(self):
+        densities = random_densities(12, seed=11)
+        for measured in (0, 1):
+            stacked = discord_numeric(densities, measured=measured)
+            assert stacked == [discord_numeric(rho, measured=measured) for rho in densities]
+
+    def test_refinement_beats_dense_grid(self):
+        densities = random_densities(12, seed=5)
+        for rho, refined in zip(densities, discord_numeric(densities)):
+            reference = brute_force_discord(rho)
+            assert refined <= reference + 1e-12
+            assert refined >= reference - 1e-3
+
+    @pytest.mark.parametrize(
+        "theta, phi", [(0.0, 0.0), (0.01, 1.0), (0.02, math.pi / 2), (math.pi - 0.02, 1.3), (0.3, 1.0)]
+    )
+    def test_zero_discord_near_and_off_pole(self, theta, phi):
+        assert abs(discord_numeric(classical_quantum(theta, phi))) <= 1e-12
+
     def test_product_state(self):
         rho = np.kron(np.diag([0.3, 0.7]), np.array([[0.6, 0.2], [0.2, 0.4]])).astype(complex)
         value = discord_numeric(DensityMatrix(rho, (2, 2)), measured=0)
@@ -330,6 +392,12 @@ class TestVerify:
         assert name in record.deviations
         assert record.deviations[name] == dev
         assert record.max_abs_deviation == max(abs(v) for v in record.deviations.values())
+
+    def test_grid_entry_point_matches_single_points(self):
+        points = [ModelParams(0.3, 0, 1), ModelParams(1.0, 2, 0), ModelParams(2.5, 4, 1)]
+        records = verify_points(points)
+        assert [record.params for record in records] == points
+        assert [record.deviations for record in records] == [verify(params).deviations for params in points]
 
     def test_default_grid_shape(self):
         grid = verification_grid()
