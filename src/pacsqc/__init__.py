@@ -5,33 +5,16 @@ for quasi-Bell and GHZ-type encoded states, with an independent brute-force
 Fock-space oracle for verification and a CSV-producing CLI.
 """
 
-from .states import (
-    DEGENERATE_ALPHA2,
-    LimitRegimeError,
-    ModelParams,
-    QubitAmplitudes,
-    TwoQubitPure,
-    XStateDensity,
-    bell_state,
-    ghz_rho12,
-    ghz_rho23,
-    ghz_split_1_23,
-    mode1_amplitudes,
-    mode23_amplitudes,
-)
+from .states import DEGENERATE_ALPHA2, LimitRegimeError, ModelParams, ghz_rho12, ghz_rho23
 from .correlations import (
     QUANTITIES,
     CorrelationReport,
-    bell_concurrence,
-    bell_eof,
     deficit,
     discord_12,
     discord_12_peak,
     discord_1_23,
     discord_23,
-    entropies,
     eof_from_concurrence,
-    ghz_concurrences,
     report,
     violation_threshold,
     w_bell_concurrence_limit,
@@ -48,29 +31,18 @@ __all__ = [
     "CorrelationReport",
     "LimitRegimeError",
     "ModelParams",
-    "QubitAmplitudes",
-    "TwoQubitPure",
-    "XStateDensity",
-    "bell_concurrence",
-    "bell_eof",
-    "bell_state",
     "binary_entropy",
     "deficit",
     "discord_12",
     "discord_12_peak",
     "discord_1_23",
     "discord_23",
-    "entropies",
     "eof_from_concurrence",
-    "ghz_concurrences",
     "ghz_rho12",
     "ghz_rho23",
-    "ghz_split_1_23",
     "kappa",
     "kappa_small_alpha",
     "laguerre",
-    "mode1_amplitudes",
-    "mode23_amplitudes",
     "pacs_overlap",
     "report",
     "violation_threshold",

@@ -283,9 +283,6 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"pacsqc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"pacsqc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,11 @@
 """Closed-form correlation measures for the encoded coherent-state family.
 
+`report` is the one closed-form computation: every field at a parameter
+point (|alpha|^2, m, k) follows from kappa_m, e^{-2|alpha|^2} and the GHZ
+norm 1 + kappa_m e^{-6|alpha|^2} cos k pi, evaluated once per point.
+`discord_12`, `discord_23`, `discord_1_23` and `deficit` are views of its
+fields for the threshold and peak finders.
+
 All entropic quantities are in bits.  Pairwise discord is evaluated through
 the Koashi-Winter relation, which replaces the measurement optimization by
 the entanglement of formation of the complementary pair inside the pure
@@ -7,8 +13,9 @@ three-mode state: D_12 = S_1 - S_12 + E_23 (measurement on mode 1) and
 D_23 = S_2 - S_23 + E_13 (measurement on mode 2).  Across the pure 1|(23)
 cut discord and entanglement of formation coincide.
 
-The odd-parity family degenerates as |alpha|^2 -> 0; there the analytic
-small-amplitude limits (W-type states) take over, see `w_limit_report`.
+The odd-parity family degenerates as |alpha|^2 -> 0; below
+DEGENERATE_ALPHA2 `report` and its views return the analytic small-amplitude
+limits (W-type states), see `w_limit_report`.
 """
 
 import math
@@ -16,17 +23,13 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .special import binary_entropy
-from .states import ModelParams, LimitRegimeError, DEGENERATE_ALPHA2
+from .states import ModelParams
 
 __all__ = [
     "CorrelationReport",
     "QUANTITIES",
     "eof_from_concurrence",
-    "bell_concurrence",
-    "bell_eof",
     "w_bell_concurrence_limit",
-    "entropies",
-    "ghz_concurrences",
     "discord_12",
     "discord_23",
     "discord_1_23",
@@ -36,28 +39,6 @@ __all__ = [
     "violation_threshold",
     "discord_12_peak",
 ]
-
-
-@dataclass(frozen=True)
-class _Core:
-    alpha2: float
-    km: float
-    s: int
-    e2: float
-    e4: float
-    denom: float  # 1 + kappa_m e^{-6 |alpha|^2} cos(k pi)
-
-
-def _core(params):
-    if params.is_degenerate:
-        raise LimitRegimeError(
-            "closed forms are 0/0 at the odd-parity point |alpha|^2 < "
-            f"{DEGENERATE_ALPHA2}; use w_limit_report"
-        )
-    a = params.alpha2
-    km = params.kappa_m
-    s = params.sign
-    return _Core(a, km, s, math.exp(-2.0 * a), math.exp(-4.0 * a), 1.0 + km * math.exp(-6.0 * a) * s)
 
 
 def eof_from_concurrence(concurrence):
@@ -70,90 +51,30 @@ def eof_from_concurrence(concurrence):
     return binary_entropy(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
 
 
-def bell_concurrence(params):
-    """Concurrence of the photon-added quasi-Bell state,
-    sqrt(1 - e^{-4a}) sqrt(1 - kappa_m^2 e^{-4a}) / (1 + kappa_m e^{-4a} cos k pi)
-    with a = |alpha|^2."""
-    co = _core(params)
-    num = math.sqrt(-math.expm1(-4.0 * co.alpha2)) * math.sqrt(max(0.0, 1.0 - co.km**2 * co.e4))
-    return num / (1.0 + co.km * co.e4 * co.s)
-
-
-def bell_eof(params):
-    """Entanglement of formation of the quasi-Bell state,
-    H(1/2 + e^{-2a}(1 + kappa_m cos k pi) / (2 + 2 kappa_m e^{-4a} cos k pi))."""
-    co = _core(params)
-    arg = 0.5 + co.e2 * (1.0 + co.km * co.s) / (2.0 + 2.0 * co.km * co.e4 * co.s)
-    return binary_entropy(arg)
-
-
 def w_bell_concurrence_limit(m):
     """Small-amplitude limit 2 sqrt(m+1)/(m+2) of the odd quasi-Bell
     concurrence (W-type pair with m extra photons)."""
     return 2.0 * math.sqrt(m + 1.0) / (m + 2.0)
 
 
-def entropies(params):
-    """Closed-form von Neumann entropies (S1, S2, S12, S23) in bits.
-
-    Each reduced density has rank two, so every entropy is a binary entropy
-    of the corresponding larger eigenvalue.  Purity of the three-mode state
-    forces S1 = S23 and S2 = S12; both members are still spelled out so each
-    formula stays visible on its own.
-    """
-    co = _core(params)
-    s1 = binary_entropy(0.5 * (1.0 + co.km * co.e2) * (1.0 + co.e4 * co.s) / co.denom)
-    s2 = binary_entropy(0.5 * (1.0 + co.e2) * (1.0 + co.km * co.e4 * co.s) / co.denom)
-    s12 = binary_entropy(0.5 * (1.0 + co.km * co.e4 * co.s) * (1.0 + co.e2) / co.denom)
-    s23 = binary_entropy(0.5 * (1.0 + co.e4 * co.s) * (1.0 + co.km * co.e2) / co.denom)
-    return s1, s2, s12, s23
-
-
-def ghz_concurrences(params):
-    """Concurrences (C23, C13, C1|23) of the GHZ-type state's reductions.
-
-    C23 = |kappa_m| e^{-2a} (1 - e^{-4a}) / (1 + kappa_m e^{-6a} cos k pi);
-    the absolute value matters because kappa_m changes sign once m >= 1 and
-    |alpha|^2 grows past the first Laguerre zero.  C13 and the bipartition
-    concurrence C1|23 carry kappa_m^2 only and need no such care.
-    """
-    co = _core(params)
-    one_m_e4 = -math.expm1(-4.0 * co.alpha2)
-    radial = max(0.0, 1.0 - co.km**2 * co.e4)
-    c23 = abs(co.km) * co.e2 * one_m_e4 / co.denom
-    c13 = co.e2 * math.sqrt(radial * one_m_e4) / co.denom
-    c1_23 = math.sqrt(radial * -math.expm1(-8.0 * co.alpha2)) / co.denom
-    return c23, c13, c1_23
-
-
 def discord_12(params):
-    """Quantum discord of modes (1,2), measurement on mode 1:
-    D_12 = S_1 - S_12 + E_23 (Koashi-Winter)."""
-    s1, _, s12, _ = entropies(params)
-    c23, _, _ = ghz_concurrences(params)
-    return s1 - s12 + eof_from_concurrence(c23)
+    """Quantum discord of modes (1,2), measurement on mode 1 (`report` D12)."""
+    return report(params).D12
 
 
 def discord_23(params):
-    """Quantum discord of modes (2,3), measurement on mode 2:
-    D_23 = S_2 - S_23 + E_13."""
-    _, s2, _, s23 = entropies(params)
-    _, c13, _ = ghz_concurrences(params)
-    return s2 - s23 + eof_from_concurrence(c13)
+    """Quantum discord of modes (2,3), measurement on mode 2 (`report` D23)."""
+    return report(params).D23
 
 
 def discord_1_23(params):
-    """Discord across the pure 1|(23) cut, equal to its entanglement of
-    formation: H(1/2 + (kappa_m e^{-2a} + e^{-4a} cos k pi) / (2 denom))."""
-    co = _core(params)
-    arg = 0.5 + 0.5 * (co.km * co.e2 + co.e4 * co.s) / co.denom
-    return binary_entropy(arg)
+    """Discord across the pure 1|(23) cut (`report` D1_23)."""
+    return report(params).D1_23
 
 
 def deficit(params):
-    """Monogamy deficit Delta_123 = D_{1|23} - D_12 - D_13; the two pairwise
-    terms coincide because modes 2 and 3 are interchangeable."""
-    return discord_1_23(params) - 2.0 * discord_12(params)
+    """Monogamy deficit Delta_123 = D_{1|23} - D_12 - D_13 (`report` Delta123)."""
+    return report(params).Delta123
 
 
 @dataclass(frozen=True)
@@ -220,35 +141,58 @@ def w_limit_report(m, k=1):
 
 
 def report(params):
-    """Fully populated correlation report; degenerate odd-parity points fall
-    back to the analytic limits with the missing fields left as None."""
+    """Fully populated correlation report, computed in one pass from a single
+    kappa_m evaluation; degenerate odd-parity points fall back to the
+    analytic limits with the missing fields left as None."""
     if params.is_degenerate:
         return replace(w_limit_report(params.m, params.k), params=params)
-    s1, s2, s12, s23 = entropies(params)
-    c23, c13, c1_23 = ghz_concurrences(params)
+    a = params.alpha2
+    km = params.kappa_m
+    s = params.sign
+    e2 = math.exp(-2.0 * a)
+    e4 = math.exp(-4.0 * a)
+    # GHZ norm 1 + kappa_m e^{-6a} cos k pi, with a = |alpha|^2
+    denom = 1.0 + km * math.exp(-6.0 * a) * s
+    # Each reduced density has rank two, so every entropy is the binary entropy
+    # of its larger eigenvalue; purity of the three-mode state forces S1 = S23
+    # and S2 = S12, but each formula keeps its own line.
+    s1 = binary_entropy(0.5 * (1.0 + km * e2) * (1.0 + e4 * s) / denom)
+    s2 = binary_entropy(0.5 * (1.0 + e2) * (1.0 + km * e4 * s) / denom)
+    s12 = binary_entropy(0.5 * (1.0 + km * e4 * s) * (1.0 + e2) / denom)
+    s23 = binary_entropy(0.5 * (1.0 + e4 * s) * (1.0 + km * e2) / denom)
+    one_m_e4 = -math.expm1(-4.0 * a)
+    radial = max(0.0, 1.0 - km**2 * e4)
+    # C23 = |kappa_m| e^{-2a} (1 - e^{-4a}) / denom: kappa_m changes sign past
+    # the first Laguerre zero once m >= 1; C13 and C1|23 carry kappa_m^2 only
+    c23 = abs(km) * e2 * one_m_e4 / denom
+    c13 = e2 * math.sqrt(radial * one_m_e4) / denom
+    c1_23 = math.sqrt(radial * -math.expm1(-8.0 * a)) / denom
     e23 = eof_from_concurrence(c23)
     e13 = eof_from_concurrence(c13)
-    d12 = s1 - s12 + e23
-    d23 = s2 - s23 + e13
-    d1_23 = discord_1_23(params)
+    d12 = s1 - s12 + e23  # Koashi-Winter, measurement on mode 1
+    # pure 1|(23) cut, D = E = H(1/2 + (kappa_m e^{-2a} + e^{-4a} cos k pi) / (2 denom))
+    d1_23 = binary_entropy(0.5 + 0.5 * (km * e2 + e4 * s) / denom)
+    # quasi-Bell pair: C = sqrt(1 - e^{-4a}) sqrt(1 - kappa_m^2 e^{-4a}) / (1 + kappa_m e^{-4a} cos k pi)
+    bell = math.sqrt(-math.expm1(-4.0 * a)) * math.sqrt(max(0.0, 1.0 - km**2 * e4))
     return CorrelationReport(
         params=params,
         S1=s1,
         S2=s2,
         S12=s12,
         S23=s23,
-        C12_conc=bell_concurrence(params),
+        C12_conc=bell / (1.0 + km * e4 * s),
         C23_conc=c23,
         C13_conc=c13,
         C1_23_conc=c1_23,
-        E12=bell_eof(params),
+        # quasi-Bell pair: E = H(1/2 + e^{-2a}(1 + kappa_m cos k pi) / (2 + 2 kappa_m e^{-4a} cos k pi))
+        E12=binary_entropy(0.5 + e2 * (1.0 + km * s) / (2.0 + 2.0 * km * e4 * s)),
         E23=e23,
         E13=e13,
         E1_23=d1_23,
         D12=d12,
-        D23=d23,
+        D23=s2 - s23 + e13,  # Koashi-Winter, measurement on mode 2
         D1_23=d1_23,
-        Delta123=d1_23 - 2.0 * d12,
+        Delta123=d1_23 - 2.0 * d12,  # D_{1|23} - D_12 - D_13, and D_13 = D_12
     )
 
 
@@ -276,21 +220,18 @@ def violation_threshold(m, k=1):
     hi_exp = math.log10(_SCAN_HI)
     grid = [10.0 ** (lo_exp + i * (hi_exp - lo_exp) / (_SCAN_POINTS - 1)) for i in range(_SCAN_POINTS)]
     values = [f(a) for a in grid]
-    bracket = None
     for i in range(_SCAN_POINTS - 1):
         v0, v1 = values[i], values[i + 1]
         if (v0 < -_SIGN_BAND and v1 > _SIGN_BAND) or (v0 > _SIGN_BAND and v1 < -_SIGN_BAND):
-            bracket = (grid[i], grid[i + 1])
             break
-    if bracket is None:
+    else:
         return None
-    lo, hi = bracket
-    f_lo = f(lo)
+    lo, hi, f_lo = grid[i], grid[i + 1], v0
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if (f(mid) < 0.0) == (f_lo < 0.0):
-            lo = mid
-            f_lo = f(mid)
+        f_mid = f(mid)
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
         else:
             hi = mid
     return 0.5 * (lo + hi)

@@ -34,7 +34,6 @@ __all__ = [
     "TruncationError",
     "FockVector",
     "DensityMatrix",
-    "TripartiteState",
     "VerificationRecord",
     "FIELD_BOUNDS",
     "default_nmax",
@@ -44,7 +43,6 @@ __all__ = [
     "partial_trace",
     "von_neumann_entropy",
     "wootters_concurrence",
-    "tripartite_state",
     "build_tripartite",
     "build_bell_pair",
     "discord_numeric",
@@ -251,10 +249,9 @@ def wootters_concurrence(rho):
 
 @dataclass(frozen=True)
 class _ModePair:
-    """One mode's orthonormalized cat pair: basis rows (even, odd) in Fock
-    space plus the coordinates of |alpha,m> and |-alpha,m> in that basis."""
+    """One mode's cat pair: the coordinates of |alpha,m> and |-alpha,m> in
+    the orthonormal (even, odd) basis of the span of the two."""
 
-    basis: np.ndarray
     plus_coords: np.ndarray
     minus_coords: np.ndarray
 
@@ -267,24 +264,9 @@ def _mode_pair(v_plus, v_minus):
     n_odd = math.sqrt(float(np.vdot(odd, odd).real))
     if min(n_even, n_odd) < 1e-9:
         raise ValueError("mode Gram matrix is numerically singular; the pair spans no qubit")
-    basis = np.vstack([even / n_even, odd / n_odd])
     c_plus = math.sqrt(max(0.0, 0.5 * (1.0 + overlap)))
     c_minus = math.sqrt(max(0.0, 0.5 * (1.0 - overlap)))
-    return _ModePair(basis, np.array([c_plus, c_minus]), np.array([c_plus, -c_minus]))
-
-
-@dataclass(frozen=True)
-class TripartiteState:
-    """GHZ-type pure state expressed in the 2x2x2 cat-basis subspace."""
-
-    weights: np.ndarray
-    modes: tuple
-    norm_constant: float
-
-    def fock_amplitude(self, n1, n2, n3):
-        """Amplitude <n1 n2 n3|psi> reconstructed from the subspace expansion."""
-        b1, b2, b3 = (mode.basis for mode in self.modes)
-        return complex(np.einsum("ijk,i,j,k->", self.weights, b1[:, n1], b2[:, n2], b3[:, n3]))
+    return _ModePair(np.array([c_plus, c_minus]), np.array([c_plus, -c_minus]))
 
 
 def _mode_pairs(params, nmax):
@@ -304,14 +286,14 @@ def _mode_pairs(params, nmax):
 
 def _superposition(params, modes):
     """Normalized weights of |alpha..> + sign |-alpha..> over the given mode
-    pairs (one tensor axis per mode) and the norm of the raw sum."""
+    pairs, one tensor axis per mode."""
     forward = functools.reduce(np.multiply.outer, [mode.plus_coords for mode in modes])
     backward = functools.reduce(np.multiply.outer, [mode.minus_coords for mode in modes])
     raw = forward + params.sign * backward
     norm = math.sqrt(float(np.sum(np.abs(raw) ** 2)))
     if norm < 1e-9:
         raise ValueError("superposition vector vanishes at this parameter point")
-    return raw / norm, norm
+    return raw / norm
 
 
 def _projector(weights):
@@ -319,25 +301,17 @@ def _projector(weights):
     return DensityMatrix(np.outer(vec, vec.conj()), (2,) * weights.ndim)
 
 
-def tripartite_state(params, nmax=None):
-    """Three-mode superposition reduced to its 2x2x2 subspace, with the
-    per-mode Fock bases retained for reconstruction."""
-    excited, plain = _mode_pairs(params, nmax)
-    modes = (excited, plain, plain)
-    weights, norm = _superposition(params, modes)
-    return TripartiteState(weights, modes, 1.0 / norm)
-
-
 def build_tripartite(params, nmax=None):
     """Pure-state projector of the GHZ-type superposition on the 2x2x2
     subspace spanned by the per-mode cat pairs."""
-    return _projector(tripartite_state(params, nmax).weights)
+    excited, plain = _mode_pairs(params, nmax)
+    return _projector(_superposition(params, (excited, plain, plain)))
 
 
 def build_bell_pair(params, nmax=None):
     """Quasi-Bell pure pair (excited mode 1 with a plain mode 2) as a 4x4
     projector in the cat-basis subspace."""
-    return _projector(_superposition(params, _mode_pairs(params, nmax))[0])
+    return _projector(_superposition(params, _mode_pairs(params, nmax)))
 
 
 _THETA_POINTS = 64
@@ -533,12 +507,12 @@ def verify_points(points, nmax=None):
     fields, reduced = [], []
     for params in points:
         excited, plain = _mode_pairs(params, nmax)
-        rho123 = _projector(_superposition(params, (excited, plain, plain))[0])
+        rho123 = _projector(_superposition(params, (excited, plain, plain)))
         rho12 = partial_trace(rho123, (0, 1))
         rho23 = partial_trace(rho123, (1, 2))
         rho1 = partial_trace(rho123, (0,))
         s1 = von_neumann_entropy(rho1)
-        c12 = wootters_concurrence(_projector(_superposition(params, (excited, plain))[0]))
+        c12 = wootters_concurrence(_projector(_superposition(params, (excited, plain))))
         c23 = wootters_concurrence(rho23)
         c13 = wootters_concurrence(rho12)
         lam1 = np.clip(rho1.eigenvalues(), 0.0, None)

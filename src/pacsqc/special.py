@@ -73,14 +73,29 @@ def laguerre(m, x):
     return cur
 
 
+def _scaled_laguerre(m, x, scale):
+    # L_m(x) / scale^m (m >= 1) through the same recurrence, so orders whose
+    # L_m(x) overflows stay in range when scale ~ |x|
+    prev = 1.0
+    cur = (1.0 - x) / scale
+    for n in range(1, m):
+        prev, cur = cur, ((2.0 * n + 1.0 - x) / scale * cur - n * prev / (scale * scale)) / (n + 1.0)
+    return cur
+
+
 def kappa(m, alpha2):
     """Overlap ratio kappa_m(|alpha|^2) = L_m(|alpha|^2) / L_m(-|alpha|^2).
 
     The denominator is a sum of positive terms and therefore strictly
     positive for alpha2 >= 0; the triangle inequality gives |kappa| <= 1.
+    Where L_m(-|alpha|^2) overflows (m = 64 from |alpha|^2 ~ 1.5e6) both
+    polynomials are taken in units of |alpha|^(2m) instead.
     """
     alpha2 = _check_alpha2(alpha2)
-    return laguerre(m, alpha2) / laguerre(m, -alpha2)
+    denominator = laguerre(m, -alpha2)
+    if math.isfinite(denominator):
+        return laguerre(m, alpha2) / denominator
+    return _scaled_laguerre(m, alpha2, alpha2) / _scaled_laguerre(m, -alpha2, alpha2)
 
 
 def kappa_small_alpha(m, alpha2):

@@ -1,14 +1,13 @@
-"""Encoded qubit states for coherent-state superpositions with photon excitations.
+"""Encoded X-state reductions of the GHZ-type coherent-state superposition.
 
 Opposite-phase Glauber states |alpha>, |-alpha> (the first mode optionally
 excited by m actions of the creation operator) are mapped onto logical qubits
-in the orthogonal even/odd cat-state basis.  This module provides closed-form
-constructors for
-
-* the two-qubit coefficient matrix of the quasi-Bell superposition,
-* the reduced densities rho_12 = rho_13 and rho_23 of the GHZ-type three-mode
-  superposition, which are X-shaped in the encoded basis,
-* the pure-state coefficients of the 1|(23) bipartition.
+in the orthogonal even/odd cat-state basis.  In that basis the reduced
+densities rho_12 = rho_13 and rho_23 of the three-mode superposition are
+X-shaped; this module builds them from the cat amplitudes alone, as a check
+on the closed forms of :mod:`pacsqc.correlations` that shares none of their
+formulas.  It also holds the parameter point `ModelParams` that every layer
+takes.
 
 Conventions: the qubit basis is ordered |00>, |01>, |10>, |11> with the
 lower-numbered mode as the left tensor factor, all cat amplitudes are real
@@ -21,21 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import MAX_PHOTON_ORDER, kappa
+from .special import _check_alpha2, _check_order, kappa
 
 __all__ = [
     "DEGENERATE_ALPHA2",
     "LimitRegimeError",
     "ModelParams",
-    "QubitAmplitudes",
-    "TwoQubitPure",
     "XStateDensity",
-    "mode1_amplitudes",
-    "mode23_amplitudes",
-    "bell_state",
     "ghz_rho12",
     "ghz_rho23",
-    "ghz_split_1_23",
 ]
 
 # Below this strength the odd-parity family degenerates (0/0 normalization).
@@ -61,13 +54,8 @@ class ModelParams:
     k: int = 0
 
     def __post_init__(self):
-        alpha2 = float(self.alpha2)
-        if not math.isfinite(alpha2) or alpha2 < 0.0:
-            raise ValueError(f"|alpha|^2 must be finite and non-negative, got {self.alpha2!r}")
-        object.__setattr__(self, "alpha2", alpha2)
-        if self.m != int(self.m) or not 0 <= int(self.m) <= MAX_PHOTON_ORDER:
-            raise ValueError(f"photon order must be an integer in [0, {MAX_PHOTON_ORDER}], got {self.m!r}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "alpha2", _check_alpha2(self.alpha2))
+        object.__setattr__(self, "m", _check_order(self.m))
         if self.k not in (0, 1):
             raise ValueError(f"parity flag k must be 0 (even) or 1 (odd), got {self.k!r}")
 
@@ -101,74 +89,14 @@ def _require_regular(params):
         )
 
 
-@dataclass(frozen=True)
-class QubitAmplitudes:
-    """Cat-basis amplitudes (c_plus, c_minus) of a coherent state, with
-    c_plus^2 + c_minus^2 = 1."""
-
-    c_plus: float
-    c_minus: float
-
-    def __post_init__(self):
-        if abs(self.c_plus**2 + self.c_minus**2 - 1.0) > 1e-12:
-            raise ValueError(
-                f"amplitudes must satisfy c+^2 + c-^2 = 1, got ({self.c_plus}, {self.c_minus})"
-            )
-
-
-def _split_amplitudes(overlap):
-    # overlap = <phase-flipped | state> of the mode's nonorthogonal pair
+def _cat_amplitudes(overlap):
+    """Cat-basis amplitudes (c_plus, c_minus) = sqrt((1 +- overlap) / 2) of a
+    mode whose phase-flipped pair has the given overlap."""
     r_plus = 0.5 * (1.0 + overlap)
     r_minus = 0.5 * (1.0 - overlap)
     if min(r_plus, r_minus) < -1e-12:
         raise ArithmeticError(f"overlap bound violated: {overlap!r}")
-    return QubitAmplitudes(math.sqrt(max(r_plus, 0.0)), math.sqrt(max(r_minus, 0.0)))
-
-
-def mode1_amplitudes(params):
-    """Amplitudes c_m^± = sqrt((1 ± kappa_m e^{-2|alpha|^2}) / 2) of the
-    photon-excited first mode in its even/odd cat basis."""
-    return _split_amplitudes(params.kappa_m * params.p)
-
-
-def mode23_amplitudes(alpha2):
-    """Amplitudes c^± = sqrt((1 ± e^{-2|alpha|^2}) / 2) of an unexcited mode."""
-    alpha2 = float(alpha2)
-    if not math.isfinite(alpha2) or alpha2 < 0.0:
-        raise ValueError(f"|alpha|^2 must be finite and non-negative, got {alpha2!r}")
-    return _split_amplitudes(math.exp(-2.0 * alpha2))
-
-
-@dataclass(frozen=True)
-class TwoQubitPure:
-    """Pure two-qubit state stored as a 2x2 coefficient matrix plus the
-    normalization scalar that makes the total weight one."""
-
-    coeffs: np.ndarray
-    norm: float = 1.0
-
-    def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=complex).reshape(2, 2)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-        weight = self.norm**2 * float(np.sum(np.abs(coeffs) ** 2))
-        if abs(weight - 1.0) > 1e-12:
-            raise ValueError(f"normalized coefficients must carry unit weight, got {weight!r}")
-
-    def normalized(self):
-        """2x2 coefficient matrix with the normalization folded in."""
-        return self.norm * self.coeffs
-
-    def concurrence(self):
-        """Pure-state concurrence 2 |C00 C11 - C01 C10|."""
-        c = self.normalized()
-        return float(2.0 * abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]))
-
-    def schmidt_coefficients(self):
-        """Squared Schmidt coefficients in descending order (the eigenvalues
-        of either single-qubit marginal)."""
-        singular = np.linalg.svd(self.normalized(), compute_uv=False)
-        return np.sort(singular**2)[::-1]
+    return math.sqrt(max(r_plus, 0.0)), math.sqrt(max(r_minus, 0.0))
 
 
 @dataclass(frozen=True)
@@ -220,32 +148,9 @@ class XStateDensity:
         return float(sum(lam * lam for lam in self.eigenvalues()))
 
 
-def _ghz_norm_sq_inv(params):
-    # 1 / C_k^2 = 2 + 2 kappa_m e^{-6 |alpha|^2} cos(k pi)
-    return 2.0 + 2.0 * params.kappa_m * math.exp(-6.0 * params.alpha2) * params.sign
-
-
-def bell_state(params):
-    """Photon-added quasi-Bell state as a two-qubit coefficient matrix.
-
-    The coefficients are the cat-basis expansion of
-    |m,alpha>|alpha> + e^{i k pi} |m,-alpha>|-alpha>, normalized by
-    (2 + 2 kappa_m e^{-4|alpha|^2} cos k pi)^{-1/2}; for even (odd) parity
-    the anti-parallel (parallel) entries vanish identically.
-    """
-    _require_regular(params)
-    cm = mode1_amplitudes(params)
-    c = mode23_amplitudes(params.alpha2)
-    s = params.sign
-    coeffs = np.array(
-        [
-            [cm.c_plus * c.c_plus * (1 + s), cm.c_plus * c.c_minus * (1 - s)],
-            [c.c_plus * cm.c_minus * (1 - s), cm.c_minus * c.c_minus * (1 + s)],
-        ],
-        dtype=complex,
-    )
-    norm_sq_inv = 2.0 + 2.0 * params.kappa_m * math.exp(-4.0 * params.alpha2) * s
-    return TwoQubitPure(coeffs, 1.0 / math.sqrt(norm_sq_inv))
+def _ghz_scale(params, km):
+    # 2 C_k^2 = 1 / (1 + kappa_m e^{-6 |alpha|^2} cos(k pi))
+    return 2.0 / (2.0 + 2.0 * km * math.exp(-6.0 * params.alpha2) * params.sign)
 
 
 def ghz_rho12(params):
@@ -257,15 +162,16 @@ def ghz_rho12(params):
     which is where the X shape appears.
     """
     _require_regular(params)
-    cm = mode1_amplitudes(params)
-    c = mode23_amplitudes(params.alpha2)
-    scale = 2.0 / _ghz_norm_sq_inv(params)
+    km = params.kappa_m
+    cm_plus, cm_minus = _cat_amplitudes(km * params.p)
+    c_plus, c_minus = _cat_amplitudes(params.p)
+    scale = _ghz_scale(params, km)
     w_plus = 1.0 + params.p * params.sign
     w_minus = 1.0 - params.p * params.sign
-    aa = cm.c_plus * c.c_plus
-    bb = cm.c_plus * c.c_minus
-    cc = cm.c_minus * c.c_plus
-    dd = cm.c_minus * c.c_minus
+    aa = cm_plus * c_plus
+    bb = cm_plus * c_minus
+    cc = cm_minus * c_plus
+    dd = cm_minus * c_minus
     diag = scale * np.array([aa * aa * w_plus, bb * bb * w_minus, cc * cc * w_minus, dd * dd * w_plus])
     return XStateDensity(diag, scale * aa * dd * w_plus, scale * bb * cc * w_minus)
 
@@ -278,35 +184,14 @@ def ghz_rho23(params):
     the excitation order; for m = 0 the two reductions coincide entrywise.
     """
     _require_regular(params)
-    c = mode23_amplitudes(params.alpha2)
-    scale = 2.0 / _ghz_norm_sq_inv(params)
-    q = params.kappa_m * params.p
+    km = params.kappa_m
+    c_plus, c_minus = _cat_amplitudes(params.p)
+    scale = _ghz_scale(params, km)
+    q = km * params.p
     w_plus = 1.0 + q * params.sign
     w_minus = 1.0 - q * params.sign
-    aa = c.c_plus * c.c_plus
-    bb = c.c_plus * c.c_minus
-    dd = c.c_minus * c.c_minus
+    aa = c_plus * c_plus
+    bb = c_plus * c_minus
+    dd = c_minus * c_minus
     diag = scale * np.array([aa * aa * w_plus, bb * bb * w_minus, bb * bb * w_minus, dd * dd * w_plus])
     return XStateDensity(diag, scale * aa * dd * w_plus, scale * bb * bb * w_minus)
-
-
-def ghz_split_1_23(params):
-    """GHZ-type state as a pure two-qubit state across the 1 | (23) cut.
-
-    Mode 1 keeps its cat qubit; the joint modes (23) are encoded through the
-    orthogonal pair built from |alpha,alpha> ± |-alpha,-alpha>, whose
-    amplitudes are sqrt((1 ± e^{-4|alpha|^2})/2).
-    """
-    _require_regular(params)
-    cm = mode1_amplitudes(params)
-    c23_plus = math.sqrt(0.5 * (1.0 + math.exp(-4.0 * params.alpha2)))
-    c23_minus = math.sqrt(0.5 * -math.expm1(-4.0 * params.alpha2))
-    s = params.sign
-    coeffs = np.array(
-        [
-            [(1 + s) * cm.c_plus * c23_plus, (1 - s) * cm.c_plus * c23_minus],
-            [(1 - s) * c23_plus * cm.c_minus, (1 + s) * cm.c_minus * c23_minus],
-        ],
-        dtype=complex,
-    )
-    return TwoQubitPure(coeffs, math.sqrt(1.0 / _ghz_norm_sq_inv(params)))

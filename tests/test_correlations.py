@@ -2,20 +2,18 @@ import math
 
 import pytest
 
+from pacsqc import special
+from pacsqc.fock_oracle import build_tripartite
 from pacsqc.special import binary_entropy
 from pacsqc.states import LimitRegimeError, ModelParams, ghz_rho12, ghz_rho23
 from pacsqc.correlations import (
     QUANTITIES,
-    bell_concurrence,
-    bell_eof,
     deficit,
     discord_12,
     discord_12_peak,
     discord_1_23,
     discord_23,
-    entropies,
     eof_from_concurrence,
-    ghz_concurrences,
     report,
     violation_threshold,
     w_bell_concurrence_limit,
@@ -60,27 +58,27 @@ class TestEofFromConcurrence:
 class TestBellPair:
     def test_odd_unexcited_is_maximally_entangled(self):
         for alpha2 in (0.01, 0.5, 3.0):
-            assert bell_concurrence(ModelParams(alpha2, 0, 1)) == pytest.approx(1.0, abs=1e-12)
+            assert report(ModelParams(alpha2, 0, 1)).C12_conc == pytest.approx(1.0, abs=1e-12)
 
     def test_even_limits(self):
-        assert bell_concurrence(ModelParams(20.0, 0, 0)) == pytest.approx(1.0, abs=1e-8)
-        assert bell_concurrence(ModelParams(0.0, 2, 0)) == 0.0
-        assert bell_eof(ModelParams(0.0, 2, 0)) == 0.0
+        assert report(ModelParams(20.0, 0, 0)).C12_conc == pytest.approx(1.0, abs=1e-8)
+        rep = report(ModelParams(0.0, 2, 0))
+        assert rep.C12_conc == 0.0
+        assert rep.E12 == 0.0
 
     def test_eof_equals_concurrence_route(self):
         for params in GRID[::7]:
-            direct = bell_eof(params)
-            via_conc = eof_from_concurrence(bell_concurrence(params))
-            assert direct == pytest.approx(via_conc, abs=1e-12)
+            rep = report(params)
+            assert rep.E12 == pytest.approx(eof_from_concurrence(rep.C12_conc), abs=1e-12)
 
     def test_strong_field_unit_eof(self):
         for m in range(5):
-            assert bell_eof(ModelParams(6.0, m, 0)) == pytest.approx(1.0, abs=1e-3)
+            assert report(ModelParams(6.0, m, 0)).E12 == pytest.approx(1.0, abs=1e-3)
 
     def test_odd_small_amplitude_limit(self):
         for m in range(5):
             limit = binary_entropy((m + 1.0) / (m + 2.0))
-            assert bell_eof(ModelParams(1e-6, m, 1)) == pytest.approx(limit, abs=1e-4)
+            assert report(ModelParams(1e-6, m, 1)).E12 == pytest.approx(limit, abs=1e-4)
 
     def test_w_concurrence_limit_values(self):
         assert w_bell_concurrence_limit(0) == 1.0
@@ -88,27 +86,37 @@ class TestBellPair:
         assert w_bell_concurrence_limit(8) == pytest.approx(0.6, abs=1e-15)
 
 
+def report_entropies(params):
+    rep = report(params)
+    return rep.S1, rep.S2, rep.S12, rep.S23
+
+
+def report_concurrences(params):
+    rep = report(params)
+    return rep.C23_conc, rep.C13_conc, rep.C1_23_conc
+
+
 class TestEntropies:
     def test_strong_field(self):
-        s1, _, s12, _ = entropies(ModelParams(20.0, 2, 0))
+        s1, _, s12, _ = report_entropies(ModelParams(20.0, 2, 0))
         assert s1 == pytest.approx(1.0, abs=1e-6)
         assert s12 == pytest.approx(1.0, abs=1e-6)
 
     def test_even_zero_strength(self):
-        s1, s2, s12, s23 = entropies(ModelParams(0.0, 3, 0))
+        s1, s2, s12, s23 = report_entropies(ModelParams(0.0, 3, 0))
         assert s1 == s12 == 0.0
         assert s2 == s23 == 0.0
 
     def test_m0_symmetry(self):
         for alpha2 in (0.1, 0.7, 2.0):
             for k in (0, 1):
-                s1, s2, s12, s23 = entropies(ModelParams(alpha2, 0, k))
+                s1, s2, s12, s23 = report_entropies(ModelParams(alpha2, 0, k))
                 assert s1 == s2
                 assert s12 == s23
 
     def test_match_density_spectra(self):
         for params in GRID[::5]:
-            s1, s2, s12, s23 = entropies(params)
+            s1, s2, s12, s23 = report_entropies(params)
             rho12 = ghz_rho12(params)
             rho23 = ghz_rho23(params)
             assert s12 == pytest.approx(eigen_entropy(rho12), abs=1e-10)
@@ -121,23 +129,23 @@ class TestEntropies:
 
 class TestGhzConcurrences:
     def test_strong_field(self):
-        c23, c13, c1_23 = ghz_concurrences(ModelParams(20.0, 1, 0))
+        c23, c13, c1_23 = report_concurrences(ModelParams(20.0, 1, 0))
         assert c23 == pytest.approx(0.0, abs=1e-6)
         assert c13 == pytest.approx(0.0, abs=1e-6)
         assert c1_23 == pytest.approx(1.0, abs=1e-6)
 
     def test_kappa_zero_point(self):
         # kappa_1(1) = 0 kills C23 but not C13
-        c23, c13, _ = ghz_concurrences(ModelParams(1.0, 1, 0))
+        c23, c13, _ = report_concurrences(ModelParams(1.0, 1, 0))
         assert c23 == 0.0
         assert c13 > 0.05
 
     def test_even_zero_strength(self):
-        assert ghz_concurrences(ModelParams(0.0, 2, 0)) == (0.0, 0.0, 0.0)
+        assert report_concurrences(ModelParams(0.0, 2, 0)) == (0.0, 0.0, 0.0)
 
     def test_ranges(self):
         for params in GRID[::3]:
-            for c in ghz_concurrences(params):
+            for c in report_concurrences(params):
                 assert -1e-12 <= c <= 1.0 + 1e-12
 
 
@@ -159,8 +167,8 @@ class TestDiscords:
 
     def test_koashi_winter_assembly(self):
         for params in GRID[::7]:
-            s1, s2, s12, s23 = entropies(params)
-            c23, c13, _ = ghz_concurrences(params)
+            s1, s2, s12, s23 = report_entropies(params)
+            c23, c13, _ = report_concurrences(params)
             assert abs(discord_12(params) - (s1 - s12 + eof_from_concurrence(c23))) <= 1e-12
             assert abs(discord_23(params) - (s2 - s23 + eof_from_concurrence(c13))) <= 1e-12
 
@@ -171,12 +179,9 @@ class TestDiscords:
             assert discord_1_23(params) >= -1e-10
 
     def test_pure_cut_identity(self):
-        from pacsqc.states import ghz_split_1_23
-
         for params in GRID[::9]:
-            c1_23 = ghz_concurrences(params)[2]
+            c1_23 = report_concurrences(params)[2]
             assert discord_1_23(params) == pytest.approx(eof_from_concurrence(c1_23), abs=1e-10)
-            assert ghz_split_1_23(params).concurrence() == pytest.approx(c1_23, abs=1e-12)
 
     def test_odd_small_amplitude_limits(self):
         for m in range(5):
@@ -294,8 +299,78 @@ class TestReport:
                     assert getattr(rep, name) == pytest.approx(getattr(limits, name), abs=tol)
 
     def test_direct_evaluation_raises_at_degenerate_point(self):
-        with pytest.raises(LimitRegimeError):
-            entropies(ModelParams(0.0, 0, 1))
+        # the state constructors have no limit to fall back on
+        for builder in (ghz_rho12, ghz_rho23, build_tripartite):
+            with pytest.raises(LimitRegimeError):
+                builder(ModelParams(0.0, 0, 1))
+
+    def test_views_return_w_limits_at_degenerate_point(self):
+        for m in (0, 2):
+            params = ModelParams(1e-9, m, 1)
+            limits = w_limit_report(m)
+            assert discord_12(params) == limits.D12
+            assert discord_23(params) == limits.D23
+            assert discord_1_23(params) == limits.D1_23
+            assert deficit(params) == limits.Delta123
+
+    # every field in QUANTITIES order, as 17-digit values of the earlier
+    # per-field implementation; `==` keeps the single-pass report bit-identical
+    PINNED = {
+        (2.5, 64, 1): (
+            0.999999998513192, 0.9999672506254318, 0.9999672506254318, 0.999999998513192,
+            0.9999772997774771, 1.2406611671705864e-12, 0.0067377940461891845, 0.9999999989694233,
+            0.9999672506254437, 0.0, 0.000202813720538329, 0.999999998513192,
+            3.2747887760198324e-05, 0.00017006583277813067, 0.999999998513192, 0.9999345027376716,
+        ),
+        # kappa_1(1.5) = -0.2
+        (1.5, 1, 0): (
+            0.9999596523928611, 0.9982465925414734, 0.9982465925414734, 0.9999596523928611,
+            0.9992056968002809, 0.009932976878101558, 0.04972408727227156, 0.9999720330395093,
+            0.9988542144646293, 0.0004131598444047212, 0.0074846245994439455, 0.9999596523928611,
+            0.0021262196957924206, 0.005771564748056246, 0.9999596523928611, 0.9957072130012763,
+        ),
+        (0.0, 3, 0): (0.0,) * 16,
+        # first regular odd point above the degenerate switch
+        (1e-08, 2, 1): (
+            0.9709505945789463, 0.721928093123793, 0.721928093123793, 0.9709505945789463,
+            0.8660254033644478, 0.3999999881945575, 0.6928203165270028, 0.9797958977180672,
+            0.8112781246854244, 0.2502248999647023, 0.5827831261012207, 0.9709505944546686,
+            0.4992474014198556, 0.3337606246460675, 0.9709505944546686, -0.027544208385042568,
+        ),
+        (0.0, 1, 1): (
+            None, None, None, None,
+            0.9428090415820635, None, None, None,
+            0.9182958340544896, None, None, 1.0,
+            0.5433007782061372, 0.412154161151989, 1.0, -0.0866015564122744,
+        ),
+        # kappa_2(0.7) < 0 with odd parity
+        (0.7, 2, 1): (
+            0.9959174576367158, 0.9544557904291708, 0.9544557904291708, 0.9959174576367158,
+            0.9655760614389168, 0.01356018785020444, 0.23874683206730177, 0.9971688598641306,
+            0.9506256758912477, 0.0007287242465473335, 0.1090806544402429, 0.9959174576367158,
+            0.04219039145409229, 0.06761898723269794, 0.9959174576367158, 0.9115366747285312,
+        ),
+    }
+
+    @pytest.mark.parametrize("point", sorted(PINNED))
+    def test_pinned_values(self, point):
+        rep = report(ModelParams(*point))
+        assert tuple(getattr(rep, name) for name in QUANTITIES) == self.PINNED[point]
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 64])
+    def test_laguerre_runs_twice_per_report(self, monkeypatch, m):
+        calls = []
+        laguerre = special.laguerre
+
+        def counted(*args):
+            calls.append(args)
+            return laguerre(*args)
+
+        monkeypatch.setattr(special, "laguerre", counted)
+        for params in (ModelParams(0.3, m, 0), ModelParams(2.0, m, 1)):
+            calls.clear()
+            report(params)
+            assert len(calls) == 2
 
 
 class TestViolationThreshold:

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pacsqc.special import laguerre, pacs_overlap
-from pacsqc.states import (
-    LimitRegimeError,
-    ModelParams,
-    bell_state,
-    ghz_rho12,
-    ghz_rho23,
-    ghz_split_1_23,
-)
+from pacsqc.special import binary_entropy, laguerre, pacs_overlap
+from pacsqc.states import LimitRegimeError, ModelParams, ghz_rho12, ghz_rho23
 from pacsqc import correlations
-from pacsqc.fock_oracle import _psd_sqrt
+from pacsqc.correlations import report
+from pacsqc.fock_oracle import _mode_pairs, _psd_sqrt, _superposition
 from pacsqc.fock_oracle import (
     FIELD_BOUNDS,
     DensityMatrix,
@@ -28,7 +22,6 @@ from pacsqc.fock_oracle import (
     discord_numeric,
     inner,
     partial_trace,
-    tripartite_state,
     verification_grid,
     verify,
     verify_points,
@@ -218,7 +211,7 @@ class TestEntropyAndConcurrence:
     def test_single_mode_entropy_matches_closed_form(self):
         params = ModelParams(0.7, 2, 0)
         rho1 = partial_trace(build_tripartite(params), (0,))
-        s1 = correlations.entropies(params)[0]
+        s1 = report(params).S1
         assert von_neumann_entropy(rho1) == pytest.approx(s1, abs=1e-10)
 
     def test_wootters_on_pure_states(self):
@@ -231,18 +224,20 @@ class TestEntropyAndConcurrence:
     @pytest.mark.parametrize("params", [ModelParams(1.0, 1, 0), ModelParams(0.7, 2, 0), ModelParams(0.4, 3, 1)])
     def test_wootters_matches_closed_forms(self, params):
         rho123 = build_tripartite(params)
-        c23, c13, _ = correlations.ghz_concurrences(params)
+        rep = report(params)
+        c23, c13 = rep.C23_conc, rep.C13_conc
         assert wootters_concurrence(partial_trace(rho123, (1, 2))) == pytest.approx(c23, abs=1e-8)
         assert wootters_concurrence(partial_trace(rho123, (0, 1))) == pytest.approx(c13, abs=1e-8)
 
     @pytest.mark.parametrize("params", [ModelParams(0.3, 0, 1), ModelParams(1.2, 2, 0)])
     def test_wootters_on_pure_coefficients(self, params):
         # on pure two-qubit projectors the spin-flip spectrum reduces to
-        # 2 |C00 C11 - C01 C10|
-        for pure in (bell_state(params), ghz_split_1_23(params)):
-            vec = pure.normalized().reshape(4)
-            rho = np.outer(vec, vec.conj())
-            assert wootters_concurrence(rho) == pytest.approx(pure.concurrence(), abs=1e-10)
+        # 2 |C00 C11 - C01 C10|, here on the quasi-Bell cat coefficients
+        coeffs = _superposition(params, _mode_pairs(params, None))
+        rho = np.outer(coeffs.reshape(4), coeffs.reshape(4).conj())
+        pure = 2.0 * abs(coeffs[0, 0] * coeffs[1, 1] - coeffs[0, 1] * coeffs[1, 0])
+        assert wootters_concurrence(rho) == pytest.approx(pure, abs=1e-10)
+        assert pure == pytest.approx(report(params).C12_conc, abs=1e-10)
 
 
 class TestTripartiteBuilder:
@@ -251,26 +246,30 @@ class TestTripartiteBuilder:
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
 
     def test_normalization_constant(self):
+        # squared norm of |alpha,m>|alpha>|alpha> + sign |-alpha,m>|-alpha>|-alpha>
+        # from Fock-space overlaps, against 2 + 2 kappa_m e^{-6|alpha|^2} cos k pi
         params = ModelParams(1.0, 1, 0)
-        state = tripartite_state(params)
-        closed = 1.0 / math.sqrt(2.0 + 2.0 * params.kappa_m * math.exp(-6.0) * params.sign)
-        assert state.norm_constant == pytest.approx(closed, abs=1e-10)
+        nmax = default_nmax(params.alpha2, params.m)
+        plus, minus = coherent_vector(1.0, nmax), coherent_vector(-1.0, nmax)
+        overlap = inner(add_photons(plus, 1), add_photons(minus, 1)) * inner(plus, minus) ** 2
+        closed = 2.0 + 2.0 * params.kappa_m * math.exp(-6.0) * params.sign
+        assert 2.0 + 2.0 * params.sign * overlap.real == pytest.approx(closed, abs=1e-10)
 
     def test_w_state_limit(self):
-        state = tripartite_state(ModelParams(1e-4, 0, 1))
-        overlap = (
-            state.fock_amplitude(1, 0, 0)
-            + state.fock_amplitude(0, 1, 0)
-            + state.fock_amplitude(0, 0, 1)
-        ) / math.sqrt(3.0)
-        assert abs(overlap) ** 2 >= 1.0 - 1e-3
+        # at |alpha|^2 -> 0 the odd cat of each mode is its one-photon state,
+        # so the odd m = 0 superposition approaches the W state of the cat basis
+        rho = build_tripartite(ModelParams(1e-4, 0, 1))
+        w_state = np.zeros(8)
+        w_state[[4, 2, 1]] = 1.0 / math.sqrt(3.0)  # |100>, |010>, |001>
+        assert float(np.real(w_state @ rho.data @ w_state)) >= 1.0 - 1e-3
 
     def test_schmidt_weights_match_split(self):
         params = ModelParams(1.0, 0, 0)
-        lam_closed = ghz_split_1_23(params).schmidt_coefficients()
-        rho1 = partial_trace(build_tripartite(params), (0,))
-        lam_oracle = np.sort(rho1.eigenvalues())[::-1]
-        assert_allclose(lam_closed, lam_oracle, atol=1e-8)
+        rep = report(params)
+        lam = np.sort(partial_trace(build_tripartite(params), (0,)).eigenvalues())[::-1]
+        # rank-two marginal: S1 = H(lam_max) and C1|23 = 2 sqrt(lam_max lam_min)
+        assert binary_entropy(lam[0]) == pytest.approx(rep.S1, abs=1e-10)
+        assert 2.0 * math.sqrt(lam[0] * lam[1]) == pytest.approx(rep.C1_23_conc, abs=1e-8)
 
     def test_spectrum_matches_states_rho12(self):
         params = ModelParams(1.0, 1, 0)
@@ -295,7 +294,7 @@ class TestTripartiteBuilder:
     def test_bell_pair_matches_closed_concurrence(self):
         for params in (ModelParams(0.6, 1, 0), ModelParams(0.25, 2, 1)):
             oracle = wootters_concurrence(build_bell_pair(params))
-            assert oracle == pytest.approx(correlations.bell_concurrence(params), abs=1e-8)
+            assert oracle == pytest.approx(report(params).C12_conc, abs=1e-8)
 
 
 class TestDiscordNumeric:
@@ -342,8 +341,7 @@ class TestDiscordNumeric:
         # measuring mode 2 of rho12 leaves S2 - S12 + E13, and S2 = S12 by
         # purity of the three-mode state, so the discord collapses to E13
         rho12 = partial_trace(build_tripartite(params), (0, 1))
-        e13 = correlations.eof_from_concurrence(correlations.ghz_concurrences(params)[1])
-        assert discord_numeric(rho12, measured=1) == pytest.approx(e13, abs=1e-3)
+        assert discord_numeric(rho12, measured=1) == pytest.approx(report(params).E13, abs=1e-3)
 
     @pytest.mark.parametrize(
         "params",

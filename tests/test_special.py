@@ -2,8 +2,11 @@ import math
 
 import pytest
 
+from pacsqc.correlations import report
+from pacsqc.states import ModelParams
 from pacsqc.special import (
     MAX_PHOTON_ORDER,
+    _scaled_laguerre,
     binary_entropy,
     kappa,
     kappa_small_alpha,
@@ -69,6 +72,22 @@ class TestKappa:
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError):
             kappa(1, -0.5)
+
+    def test_overflowing_denominator(self):
+        # L_64(-1e7) overflows; kappa_64 still rises monotonically towards 1
+        value = kappa(64, 1e7)
+        assert math.isfinite(value) and abs(value) <= 1.0
+        assert kappa(64, 1e6) <= value <= 1.0
+        rep = report(ModelParams(1e7, 64, 0))
+        assert abs(rep.E12 - 1.0) <= 1e-6
+        assert abs(rep.D12) <= 1e-6
+        assert abs(rep.D1_23 - 1.0) <= 1e-6
+        assert abs(rep.Delta123 - 1.0) <= 1e-5
+
+    def test_scaled_recurrence_matches_direct_ratio(self):
+        for m, alpha2 in ((64, 1e6), (63, 1e6), (5, 30.0), (1, 2.0)):
+            scaled = _scaled_laguerre(m, alpha2, alpha2) / _scaled_laguerre(m, -alpha2, alpha2)
+            assert scaled == pytest.approx(kappa(m, alpha2), rel=1e-13)
 
 
 class TestKappaSmallAlpha:

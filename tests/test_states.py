@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pacsqc.states import (
-    LimitRegimeError,
-    ModelParams,
-    QubitAmplitudes,
-    bell_state,
-    ghz_rho12,
-    ghz_rho23,
-    ghz_split_1_23,
-    mode1_amplitudes,
-    mode23_amplitudes,
-)
+from pacsqc.correlations import report
+from pacsqc.fock_oracle import build_bell_pair, build_tripartite, partial_trace, wootters_concurrence
+from pacsqc.special import binary_entropy
+from pacsqc.states import LimitRegimeError, ModelParams, _cat_amplitudes, ghz_rho12, ghz_rho23
 
 GRID = [
     ModelParams(alpha2, m, k)
@@ -55,57 +48,68 @@ class TestModelParams:
 class TestAmplitudes:
     def test_mode1_limits(self):
         for m in (0, 1, 3):
-            amp = mode1_amplitudes(ModelParams(0.0, m, 0))
-            assert (amp.c_plus, amp.c_minus) == (1.0, 0.0)
-            amp = mode1_amplitudes(ModelParams(20.0, m, 0))
-            assert amp.c_plus == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
-            assert amp.c_minus == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+            params = ModelParams(0.0, m, 0)
+            assert _cat_amplitudes(params.kappa_m * params.p) == (1.0, 0.0)
+            params = ModelParams(20.0, m, 0)
+            c_plus, c_minus = _cat_amplitudes(params.kappa_m * params.p)
+            assert c_plus == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+            assert c_minus == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_mode1_kappa_zero(self):
-        amp = mode1_amplitudes(ModelParams(1.0, 1, 0))
-        assert amp.c_plus == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
-        assert amp.c_minus == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        params = ModelParams(1.0, 1, 0)
+        c_plus, c_minus = _cat_amplitudes(params.kappa_m * params.p)
+        assert c_plus == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        assert c_minus == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_mode23(self):
-        amp = mode23_amplitudes(0.0)
-        assert (amp.c_plus, amp.c_minus) == (1.0, 0.0)
-        amp = mode23_amplitudes(20.0)
-        assert amp.c_plus == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        assert _cat_amplitudes(ModelParams(0.0).p) == (1.0, 0.0)
+        c_plus, _ = _cat_amplitudes(ModelParams(20.0).p)
+        assert c_plus == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
         # p = 1/2 at alpha2 = ln(2)/2
-        amp = mode23_amplitudes(0.5 * math.log(2.0))
-        assert amp.c_plus == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
-        assert amp.c_minus == pytest.approx(0.5, abs=1e-12)
+        c_plus, c_minus = _cat_amplitudes(ModelParams(0.5 * math.log(2.0)).p)
+        assert c_plus == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
+        assert c_minus == pytest.approx(0.5, abs=1e-12)
 
     def test_normalization_enforced(self):
-        with pytest.raises(ValueError):
-            QubitAmplitudes(0.9, 0.9)
+        for overlap in np.linspace(-1.0, 1.0, 41):
+            c_plus, c_minus = _cat_amplitudes(overlap)
+            assert c_plus**2 + c_minus**2 == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ArithmeticError):
+            _cat_amplitudes(1.1)
 
 
 class TestBellState:
+    # the quasi-Bell pair has no closed-form state here; its closed forms
+    # (report C12_conc, E12) are checked against the Fock-space projector
+
     def test_parity_zeros(self):
-        even = bell_state(ModelParams(0.8, 2, 0)).coeffs
-        assert even[0, 1] == 0 and even[1, 0] == 0
-        odd = bell_state(ModelParams(0.8, 2, 1)).coeffs
-        assert odd[0, 0] == 0 and odd[1, 1] == 0
+        even = build_bell_pair(ModelParams(0.8, 2, 0)).data
+        assert even[1, 1] == 0 and even[2, 2] == 0
+        odd = build_bell_pair(ModelParams(0.8, 2, 1)).data
+        assert odd[0, 0] == 0 and odd[3, 3] == 0
 
     def test_strong_field_is_maximally_entangled(self):
-        state = bell_state(ModelParams(20.0, 0, 0)).normalized()
-        assert abs(state[0, 0]) ** 2 == pytest.approx(0.5, abs=1e-8)
-        assert abs(state[1, 1]) ** 2 == pytest.approx(0.5, abs=1e-8)
+        params = ModelParams(20.0, 0, 0)
+        state = build_bell_pair(params).data
+        assert state[0, 0].real == pytest.approx(0.5, abs=1e-8)
+        assert state[3, 3].real == pytest.approx(0.5, abs=1e-8)
+        assert report(params).E12 == pytest.approx(1.0, abs=1e-8)
 
     def test_normalization_over_grid(self):
         for params in GRID:
-            state = bell_state(params)
-            assert float(np.sum(np.abs(state.normalized()) ** 2)) == pytest.approx(1.0, abs=1e-12)
+            oracle = wootters_concurrence(build_bell_pair(params))
+            assert report(params).C12_conc == pytest.approx(oracle, abs=1e-8)
 
     def test_w_type_concurrence(self):
         # odd pair without excitation stays maximally entangled at any strength
         for alpha2 in (0.01, 0.5, 3.0):
-            assert bell_state(ModelParams(alpha2, 0, 1)).concurrence() == pytest.approx(1.0, abs=1e-12)
+            params = ModelParams(alpha2, 0, 1)
+            assert wootters_concurrence(build_bell_pair(params)) == pytest.approx(1.0, abs=1e-10)
+            assert report(params).C12_conc == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_point_refused(self):
         with pytest.raises(LimitRegimeError):
-            bell_state(ModelParams(0.0, 1, 1))
+            build_bell_pair(ModelParams(0.0, 1, 1))
 
 
 class TestGhzReductions:
@@ -151,24 +155,31 @@ class TestGhzReductions:
         assert_allclose(rotated, np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-8)
 
     def test_degenerate_point_refused(self):
-        for builder in (ghz_rho12, ghz_rho23, ghz_split_1_23):
+        for builder in (ghz_rho12, ghz_rho23, build_tripartite):
             with pytest.raises(LimitRegimeError):
                 builder(ModelParams(1e-12, 0, 1))
 
 
 class TestSplit123:
+    # the pure 1|(23) cut of the Fock-space GHZ projector against the
+    # closed-form report fields of that cut
+
     def test_normalization(self):
         for params in GRID:
-            state = ghz_split_1_23(params)
-            assert float(np.sum(np.abs(state.normalized()) ** 2)) == pytest.approx(1.0, abs=1e-12)
+            lam = partial_trace(build_tripartite(params), (0,)).eigenvalues()
+            pure = 2.0 * math.sqrt(max(lam[0] * lam[1], 0.0))  # 2 sqrt(det rho_1)
+            assert report(params).C1_23_conc == pytest.approx(pure, abs=1e-8)
 
     def test_parity_zeros(self):
-        state = ghz_split_1_23(ModelParams(0.9, 1, 0)).coeffs
-        assert state[0, 1] == 0 and state[1, 0] == 0
-        state = ghz_split_1_23(ModelParams(0.9, 1, 1)).coeffs
-        assert state[0, 0] == 0 and state[1, 1] == 0
+        # basis index 4 n1 + 2 n2 + n3; even parity keeps an even number of odd cats
+        state = np.diag(build_tripartite(ModelParams(0.9, 1, 0)).data)
+        assert all(state[i] == 0 for i in (1, 2, 4, 7))
+        state = np.diag(build_tripartite(ModelParams(0.9, 1, 1)).data)
+        assert all(state[i] == 0 for i in (0, 3, 5, 6))
 
     def test_schmidt_weights_sum_to_one(self):
-        lam = ghz_split_1_23(ModelParams(1.0, 0, 0)).schmidt_coefficients()
+        params = ModelParams(1.0, 0, 0)
+        lam = partial_trace(build_tripartite(params), (0,)).eigenvalues()[::-1]
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
         assert lam[0] >= lam[1] >= 0.0
+        assert binary_entropy(lam[0]) == pytest.approx(report(params).S1, abs=1e-10)
