@@ -188,13 +188,16 @@ def _cmd_figure(args):
 def _cmd_verify(args):
     from . import fock_oracle
 
+    tolerance = args.tolerance
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise UsageError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     points = fock_oracle.verification_grid(args.start, args.stop, args.steps, tuple(args.m), tuple(args.k))
     field_names = list(fock_oracle.FIELD_BOUNDS)
     header = ["alpha2", "p", "m", "k"] + [f"dev_{name}" for name in field_names] + ["max_abs_deviation"]
     rows = []
     all_pass = True
     for params, record in zip(points, fock_oracle.verify_points(points, nmax=args.nmax_override)):
-        ok = record.passes(bound_override=args.tolerance)
+        ok = record.passes(bound_override=tolerance)
         all_pass = all_pass and ok
         row = [_fmt(params.alpha2), _fmt(params.p), str(params.m), str(params.k)]
         row += [_fmt(record.deviations[name]) for name in field_names]

@@ -54,6 +54,12 @@ def laguerre(m, x):
     -------
     float
 
+    Raises
+    ------
+    OverflowError
+        Where the recurrence leaves the finite float range (m = 64 from
+        |x| ~ 1.5e6).
+
     Notes
     -----
     Uses (n+1) L_{n+1} = (2n+1-x) L_n - n L_{n-1}, which keeps full accuracy
@@ -70,6 +76,8 @@ def laguerre(m, x):
     cur = 1.0 - x
     for n in range(1, m):
         prev, cur = cur, ((2.0 * n + 1.0 - x) * cur - n * prev) / (n + 1.0)
+    if not math.isfinite(cur):
+        raise OverflowError(f"L_{m}({x!r}) leaves the float range in the Laguerre recurrence")
     return cur
 
 
@@ -92,10 +100,11 @@ def kappa(m, alpha2):
     polynomials are taken in units of |alpha|^(2m) instead.
     """
     alpha2 = _check_alpha2(alpha2)
-    denominator = laguerre(m, -alpha2)
-    if math.isfinite(denominator):
-        return laguerre(m, alpha2) / denominator
-    return _scaled_laguerre(m, alpha2, alpha2) / _scaled_laguerre(m, -alpha2, alpha2)
+    try:
+        denominator = laguerre(m, -alpha2)
+    except OverflowError:
+        return _scaled_laguerre(m, alpha2, alpha2) / _scaled_laguerre(m, -alpha2, alpha2)
+    return laguerre(m, alpha2) / denominator
 
 
 def kappa_small_alpha(m, alpha2):

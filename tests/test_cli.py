@@ -202,6 +202,22 @@ class TestVerifyCommand:
         )
         assert code == EXIT_VERIFY
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_invalid_tolerance_is_usage_error(self, tmp_path, capsys, tolerance):
+        out = tmp_path / "verify.csv"
+        code = main(["verify", "--steps", "2", "--m", "1", "--k", "0", f"--tolerance={tolerance}", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "tolerance must be finite and non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_orders_and_parities_verified_once(self, tmp_path, capsys):
+        out = tmp_path / "verify.csv"
+        code = main(["verify", "--steps", "2", "--m", "1", "1", "--k", "0", "0", "--out", str(out)])
+        assert code == EXIT_OK
+        assert "verified 2 points" in capsys.readouterr().out
+        rows = [(r["alpha2"], r["m"], r["k"]) for r in read_rows(out)]
+        assert rows == [("0.10000000000000001", "1", "0"), ("4", "1", "0")]
+
     def test_determinism(self, tmp_path):
         args = ["verify", "--start", "0.2", "--stop", "2.0", "--steps", "3", "--m", "0", "3", "--k", "0", "1",
                 "--out"]

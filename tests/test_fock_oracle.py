@@ -14,6 +14,7 @@ from pacsqc.fock_oracle import (
     DensityMatrix,
     FockVector,
     TruncationError,
+    VerificationRecord,
     add_photons,
     build_bell_pair,
     build_tripartite,
@@ -233,7 +234,7 @@ class TestEntropyAndConcurrence:
     def test_wootters_on_pure_coefficients(self, params):
         # on pure two-qubit projectors the spin-flip spectrum reduces to
         # 2 |C00 C11 - C01 C10|, here on the quasi-Bell cat coefficients
-        coeffs = _superposition(params, _mode_pairs(params, None))
+        coeffs = _superposition([params.sign], [_mode_pairs(params, None)])[0].reshape(2, 2)
         rho = np.outer(coeffs.reshape(4), coeffs.reshape(4).conj())
         pure = 2.0 * abs(coeffs[0, 0] * coeffs[1, 1] - coeffs[0, 1] * coeffs[1, 0])
         assert wootters_concurrence(rho) == pytest.approx(pure, abs=1e-10)
@@ -336,6 +337,30 @@ class TestDiscordNumeric:
         with pytest.raises(ValueError):
             discord_numeric(rho12, measured=2)
 
+    def test_x_state_candidates_bound_the_minimum(self):
+        # the reductions are X-shaped; the sigma_z measurement and the best
+        # measurement in the x-y plane are the candidate optima of Ali, Rau &
+        # Alber, PRA 81, 042105 (2010), which Huang, PRA 88, 014302 (2013)
+        # shows can fall short, so the minimizer must reach at least as low
+        rng = np.random.default_rng(6)
+        strengths = sorted({params.alpha2 for params in verification_grid()})
+        for k in (0, 1):
+            for m in range(5):
+                for alpha2 in rng.choice(strengths, size=2, replace=False):
+                    params = ModelParams(float(alpha2), m, k)
+                    for x_state in (ghz_rho12(params), ghz_rho23(params)):
+                        a1, a2, a3, a4 = x_state.diag
+                        p0, p1 = a1 + a2, a3 + a4
+                        sigma_z = p0 * binary_entropy(a1 / p0) + p1 * binary_entropy(a3 / p1)
+                        # conditional states [[a1 + a3, z], [z*, a2 + a4]], |z| <= |rho14| + |rho23|
+                        coherence = abs(x_state.off_outer) + abs(x_state.off_inner)
+                        in_plane = binary_entropy(0.5 + math.hypot(0.5 * (a1 + a3 - a2 - a4), coherence))
+                        rho = DensityMatrix(x_state.to_matrix(), (2, 2))
+                        s_measured = von_neumann_entropy(partial_trace(rho, (0,)))
+                        minimum = discord_numeric(rho) - s_measured + von_neumann_entropy(rho)
+                        assert minimum <= sigma_z + 1e-12, (params, minimum, sigma_z)
+                        assert minimum <= in_plane + 1e-12, (params, minimum, in_plane)
+
     @pytest.mark.parametrize("params", [ModelParams(0.4, 2, 0), ModelParams(1.0, 1, 1)])
     def test_measuring_second_mode(self, params):
         # measuring mode 2 of rho12 leaves S2 - S12 + E13, and S2 = S12 by
@@ -396,6 +421,19 @@ class TestVerify:
         records = verify_points(points)
         assert [record.params for record in records] == points
         assert [record.deviations for record in records] == [verify(params).deviations for params in points]
+
+    def test_nan_deviation_fails(self):
+        record = verify(ModelParams(0.5, 1, 0))
+        assert record.passes() and not record.passes(bound_override=math.nan)
+        broken = VerificationRecord(record.params, dict(record.deviations, D12=math.nan), record.bounds)
+        assert not broken.passes()
+        assert not broken.passes(bound_override=1.0)
+
+    def test_grid_drops_repeated_orders_and_parities(self):
+        assert verification_grid(0.5, 1.0, 2, (2, 0, 2), (1, 1)) == verification_grid(0.5, 1.0, 2, (0, 2), (1,))
+        assert verification_grid(0.5, 1.0, 2, (0, 2), (1,)) == [
+            ModelParams(0.5, 0, 1), ModelParams(1.0, 0, 1), ModelParams(0.5, 2, 1), ModelParams(1.0, 2, 1)
+        ]
 
     def test_default_grid_shape(self):
         grid = verification_grid()

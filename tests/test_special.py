@@ -51,6 +51,14 @@ class TestLaguerre:
             with pytest.raises(ValueError):
                 laguerre(2, bad)
 
+    def test_overflow_raises(self):
+        # the recurrence leaves the float range for m = 64 from |x| ~ 1.5e6
+        for x in (1e7, -1e7):
+            with pytest.raises(OverflowError, match=r"L_64\("):
+                laguerre(64, x)
+        assert math.isfinite(laguerre(64, 1.4e6)) and math.isfinite(laguerre(64, -1.4e6))
+        assert kappa(64, 1e7) == pytest.approx(0.99918, abs=1e-5)
+
 
 class TestKappa:
     def test_order_zero_is_one(self):
