@@ -9,6 +9,7 @@ from .states import DEGENERATE_ALPHA2, LimitRegimeError, ModelParams, ghz_rho12,
 from .correlations import (
     QUANTITIES,
     CorrelationReport,
+    closed_forms,
     deficit,
     discord_12,
     discord_12_peak,
@@ -32,6 +33,7 @@ __all__ = [
     "LimitRegimeError",
     "ModelParams",
     "binary_entropy",
+    "closed_forms",
     "deficit",
     "discord_12",
     "discord_12_peak",

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -233,7 +234,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser():
+    """The `pacsqc` argument parser, built once per process: parsing leaves
+    it unchanged, so every `main` call shares it."""
     parser = _Parser(
         prog="pacsqc",
         description=(

@@ -1,10 +1,14 @@
 """Closed-form correlation measures for the encoded coherent-state family.
 
-`report` is the one closed-form computation: every field at a parameter
-point (|alpha|^2, m, k) follows from kappa_m, e^{-2|alpha|^2} and the GHZ
-norm 1 + kappa_m e^{-6|alpha|^2} cos k pi, evaluated once per point.
-`discord_12`, `discord_23`, `discord_1_23` and `deficit` are views of its
-fields for the threshold and peak finders.
+`closed_forms` is the one closed-form computation: every field at a
+parameter point (|alpha|^2, m, k) follows from kappa_m, e^{-2|alpha|^2} and
+the GHZ norm 1 + kappa_m e^{-6|alpha|^2} cos k pi, evaluated once per point.
+|alpha|^2 is a float or a 1-D float64 array; one body serves both, with
+the non-arithmetic primitives picked once per call, so an array gives the
+float values bit for bit.  `report` wraps the float call in a
+`CorrelationReport`; `discord_12`, `discord_23`, `discord_1_23` and
+`deficit` are views of its fields.  The threshold and peak finders scan
+their grids in one array call and refine with float calls.
 
 All entropic quantities are in bits.  Pairwise discord is evaluated through
 the Koashi-Winter relation, which replaces the measurement optimization by
@@ -18,12 +22,15 @@ DEGENERATE_ALPHA2 `report` and its views return the analytic small-amplitude
 limits (W-type states), see `w_limit_report`.
 """
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .special import binary_entropy
-from .states import ModelParams
+import numpy as np
+
+from .special import _binary_entropy_array, _check_alpha2_or_array, _elementwise, _first_failure, binary_entropy, kappa
+from .states import DEGENERATE_ALPHA2, ModelParams, _require_regular
 
 __all__ = [
     "CorrelationReport",
@@ -36,6 +43,7 @@ __all__ = [
     "deficit",
     "w_limit_report",
     "report",
+    "closed_forms",
     "violation_threshold",
     "discord_12_peak",
 ]
@@ -49,6 +57,14 @@ def eof_from_concurrence(concurrence):
         raise ValueError(f"concurrence must lie in [0, 1], got {c!r}")
     c = min(max(c, 0.0), 1.0)
     return binary_entropy(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
+
+
+def _eof_array(c):
+    # eof_from_concurrence of every element of a float64 array, rounded as
+    # the float function rounds
+    _first_failure(eof_from_concurrence, c, (c >= -1e-12) & (c <= 1.0 + 1e-12))
+    c = np.minimum(np.maximum(c, 0.0), 1.0)
+    return _binary_entropy_array(0.5 + 0.5 * np.sqrt(np.maximum(0.0, 1.0 - c * c)))
 
 
 def w_bell_concurrence_limit(m):
@@ -146,54 +162,95 @@ def report(params):
     analytic limits with the missing fields left as None."""
     if params.is_degenerate:
         return replace(w_limit_report(params.m, params.k), params=params)
-    a = params.alpha2
-    km = params.kappa_m
-    s = params.sign
-    e2 = math.exp(-2.0 * a)
-    e4 = math.exp(-4.0 * a)
-    # GHZ norm 1 + kappa_m e^{-6a} cos k pi, with a = |alpha|^2
-    denom = 1.0 + km * math.exp(-6.0 * a) * s
+    return CorrelationReport(params, *_closed_forms(params.alpha2, params.m, params.sign))
+
+
+def closed_forms(alpha2, m=0, k=0):
+    """Every `report` field at the strength alpha2, as a quantity -> value
+    dict, where alpha2 is a float or a 1-D float64 array (one value per
+    element, equal to the float call's bit for bit).
+
+    Raises LimitRegimeError where an odd-parity strength lies below
+    DEGENERATE_ALPHA2 (`report` returns the analytic limits there).
+    """
+    a = _check_alpha2_or_array(alpha2)
+    point = ModelParams(a.min() if isinstance(a, np.ndarray) else a, m, k)
+    _require_regular(point)
+    return dict(zip(QUANTITIES, _closed_forms(a, point.m, point.sign)))
+
+
+def _square(v):
+    return v**2  # libm pow, which rounds differently from v * v
+
+
+def _nonneg(v):
+    return max(0.0, v)
+
+
+# The closed forms' primitives beyond + - * / on float64 arrays: numpy where
+# it rounds exactly (sqrt, maximum), else the C-library function per element
+# (exp, expm1, pow, log2), so every element rounds as the float call does.
+_ARRAY_PRIMITIVES = (
+    functools.partial(_elementwise, math.exp),
+    functools.partial(_elementwise, math.expm1),
+    np.sqrt,
+    functools.partial(_elementwise, _square),
+    functools.partial(np.maximum, 0.0),
+    _binary_entropy_array,
+    _eof_array,
+)
+
+
+def _closed_forms(a, m, s):
+    # a = |alpha|^2 (float or checked 1-D array), s = cos k pi
+    if isinstance(a, np.ndarray):
+        exp, expm1, sqrt, square, nonneg, entropy, eof = _ARRAY_PRIMITIVES
+    else:
+        exp, expm1, sqrt, square, nonneg = math.exp, math.expm1, math.sqrt, _square, _nonneg
+        entropy, eof = binary_entropy, eof_from_concurrence
+    km = kappa(m, a)
+    e2 = exp(-2.0 * a)
+    e4 = exp(-4.0 * a)
+    # GHZ norm 1 + kappa_m e^{-6a} cos k pi
+    denom = 1.0 + km * exp(-6.0 * a) * s
     # Each reduced density has rank two, so every entropy is the binary entropy
     # of its larger eigenvalue; purity of the three-mode state forces S1 = S23
     # and S2 = S12, but each formula keeps its own line.
-    s1 = binary_entropy(0.5 * (1.0 + km * e2) * (1.0 + e4 * s) / denom)
-    s2 = binary_entropy(0.5 * (1.0 + e2) * (1.0 + km * e4 * s) / denom)
-    s12 = binary_entropy(0.5 * (1.0 + km * e4 * s) * (1.0 + e2) / denom)
-    s23 = binary_entropy(0.5 * (1.0 + e4 * s) * (1.0 + km * e2) / denom)
-    one_m_e4 = -math.expm1(-4.0 * a)
-    radial = max(0.0, 1.0 - km**2 * e4)
+    s1 = entropy(0.5 * (1.0 + km * e2) * (1.0 + e4 * s) / denom)
+    s2 = entropy(0.5 * (1.0 + e2) * (1.0 + km * e4 * s) / denom)
+    s12 = entropy(0.5 * (1.0 + km * e4 * s) * (1.0 + e2) / denom)
+    s23 = entropy(0.5 * (1.0 + e4 * s) * (1.0 + km * e2) / denom)
+    one_m_e4 = -expm1(-4.0 * a)
+    radial = nonneg(1.0 - square(km) * e4)
     # C23 = |kappa_m| e^{-2a} (1 - e^{-4a}) / denom: kappa_m changes sign past
     # the first Laguerre zero once m >= 1; C13 and C1|23 carry kappa_m^2 only
     c23 = abs(km) * e2 * one_m_e4 / denom
-    c13 = e2 * math.sqrt(radial * one_m_e4) / denom
-    c1_23 = math.sqrt(radial * -math.expm1(-8.0 * a)) / denom
-    e23 = eof_from_concurrence(c23)
-    e13 = eof_from_concurrence(c13)
+    c13 = e2 * sqrt(radial * one_m_e4) / denom
+    c1_23 = sqrt(radial * -expm1(-8.0 * a)) / denom
+    e23 = eof(c23)
+    e13 = eof(c13)
     d12 = s1 - s12 + e23  # Koashi-Winter, measurement on mode 1
     # pure 1|(23) cut, D = E = H(1/2 + (kappa_m e^{-2a} + e^{-4a} cos k pi) / (2 denom))
-    d1_23 = binary_entropy(0.5 + 0.5 * (km * e2 + e4 * s) / denom)
+    d1_23 = entropy(0.5 + 0.5 * (km * e2 + e4 * s) / denom)
     # quasi-Bell pair: C = sqrt(1 - e^{-4a}) sqrt(1 - kappa_m^2 e^{-4a}) / (1 + kappa_m e^{-4a} cos k pi)
-    bell = math.sqrt(-math.expm1(-4.0 * a)) * math.sqrt(max(0.0, 1.0 - km**2 * e4))
-    return CorrelationReport(
-        params=params,
-        S1=s1,
-        S2=s2,
-        S12=s12,
-        S23=s23,
-        C12_conc=bell / (1.0 + km * e4 * s),
-        C23_conc=c23,
-        C13_conc=c13,
-        C1_23_conc=c1_23,
-        # quasi-Bell pair: E = H(1/2 + e^{-2a}(1 + kappa_m cos k pi) / (2 + 2 kappa_m e^{-4a} cos k pi))
-        E12=binary_entropy(0.5 + e2 * (1.0 + km * s) / (2.0 + 2.0 * km * e4 * s)),
-        E23=e23,
-        E13=e13,
-        E1_23=d1_23,
-        D12=d12,
-        D23=s2 - s23 + e13,  # Koashi-Winter, measurement on mode 2
-        D1_23=d1_23,
-        Delta123=d1_23 - 2.0 * d12,  # D_{1|23} - D_12 - D_13, and D_13 = D_12
-    )
+    c12 = sqrt(one_m_e4) * sqrt(radial) / (1.0 + km * e4 * s)
+    # quasi-Bell pair: E = H(1/2 + e^{-2a}(1 + kappa_m cos k pi) / (2 + 2 kappa_m e^{-4a} cos k pi))
+    e12 = entropy(0.5 + e2 * (1.0 + km * s) / (2.0 + 2.0 * km * e4 * s))
+    d23 = s2 - s23 + e13  # Koashi-Winter, measurement on mode 2
+    delta = d1_23 - 2.0 * d12  # D_{1|23} - D_12 - D_13, and D_13 = D_12
+    # in QUANTITIES order; E1_23 = D1_23 on the pure 1|(23) cut
+    return s1, s2, s12, s23, c12, c23, c13, c1_23, e12, e23, e13, d1_23, d12, d23, d1_23, delta
+
+
+def _scan(grid, m, k, name):
+    """Field `name` at every strength of `grid` (a list), in one array call.
+
+    A grid that reaches the odd-parity degenerate region goes point by point
+    through `report`, which returns the analytic limits there.
+    """
+    if k == 1 and min(grid) < DEGENERATE_ALPHA2:
+        return [getattr(report(ModelParams(a, m, k)), name) for a in grid]
+    return closed_forms(np.array(grid), m, k)[name].tolist()
 
 
 _SCAN_LO = 1e-6
@@ -219,7 +276,7 @@ def violation_threshold(m, k=1):
     lo_exp = math.log10(_SCAN_LO)
     hi_exp = math.log10(_SCAN_HI)
     grid = [10.0 ** (lo_exp + i * (hi_exp - lo_exp) / (_SCAN_POINTS - 1)) for i in range(_SCAN_POINTS)]
-    values = [f(a) for a in grid]
+    values = _scan(grid, m, k, "Delta123")
     for i in range(_SCAN_POINTS - 1):
         v0, v1 = values[i], values[i + 1]
         if (v0 < -_SIGN_BAND and v1 > _SIGN_BAND) or (v0 > _SIGN_BAND and v1 < -_SIGN_BAND):
@@ -252,7 +309,7 @@ def discord_12_peak(m, k=0, lo=0.01, hi=4.0):
 
     n = 400
     grid = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
-    best = max(range(n), key=lambda i: f(grid[i]))
+    best = max(range(n), key=_scan(grid, m, k, "D12").__getitem__)
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, n - 1)]
     x1 = b - _GOLDEN * (b - a)

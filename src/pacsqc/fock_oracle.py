@@ -555,6 +555,11 @@ def verification_grid(alpha2_start=0.1, alpha2_stop=4.0, alpha2_steps=40, m_valu
     """Default verification grid: 40 strengths x 5 orders x 2 parities."""
     if alpha2_steps < 1:
         raise ValueError("need at least one grid point")
+    if alpha2_steps > 1 and alpha2_start == alpha2_stop:
+        # every strength would repeat; a descending grid (start > stop) is fine
+        raise ValueError(
+            f"steps > 1 needs start != stop, got start={alpha2_start!r}, stop={alpha2_stop!r}, steps={alpha2_steps}"
+        )
     strengths = [alpha2_start]
     if alpha2_steps > 1:
         strengths = [alpha2_start + i * (alpha2_stop - alpha2_start) / (alpha2_steps - 1) for i in range(alpha2_steps)]

@@ -1,13 +1,18 @@
-"""Scalar special functions and entropy primitives.
+"""Special functions and entropy primitives.
 
 Everything downstream (state constructors, closed-form correlation measures,
 oracle comparisons) reduces to three ingredients: Laguerre polynomials
 L_m(x), the overlap ratio kappa_m = L_m(x)/L_m(-x) of opposite-phase
-photon-added coherent states, and the base-2 binary entropy.  All functions
-here are pure and safe for concurrent use.
+photon-added coherent states, and the base-2 binary entropy.  `laguerre` and
+`kappa` take their argument as a float or as a 1-D float64 array; an array
+is evaluated elementwise with the same roundings as the float.  All
+functions here are pure and safe for concurrent use.
 """
 
+import functools
 import math
+
+import numpy as np
 
 __all__ = [
     "MAX_PHOTON_ORDER",
@@ -40,6 +45,39 @@ def _check_alpha2(alpha2):
     return alpha2
 
 
+def _check_alpha2_or_array(alpha2):
+    """`_check_alpha2`, or a float64 copy of a 1-D array checked element by element."""
+    if not isinstance(alpha2, np.ndarray):
+        return _check_alpha2(alpha2)
+    alpha2 = _float_array(alpha2)
+    _first_failure(_check_alpha2, alpha2, np.isfinite(alpha2) & (alpha2 >= 0.0))
+    return alpha2
+
+
+def _float_array(x):
+    x = x.astype(float)
+    if x.ndim != 1:
+        raise ValueError(f"array arguments must be one-dimensional, got shape {x.shape}")
+    return x
+
+
+def _first_failure(check, values, ok):
+    # An array fails as its first failing element fails as a float: the
+    # scalar check raises the error, so both raise the same one.
+    if not ok.all():
+        check(float(values[~ok][0]))
+
+
+def _elementwise(fn, x):
+    """The float function fn applied to every element of a float64 array.
+
+    One call of fn per element, so each element rounds exactly as the float
+    call does; numpy's own exp and log2, for instance, round differently
+    from the C library in a few per cent of inputs.
+    """
+    return np.fromiter(map(fn, x.tolist()), float, count=x.size)
+
+
 def laguerre(m, x):
     """Laguerre polynomial L_m(x) via the three-term recurrence.
 
@@ -47,37 +85,51 @@ def laguerre(m, x):
     ----------
     m : int
         Polynomial order, 0 <= m <= MAX_PHOTON_ORDER.
-    x : float
-        Evaluation point, any finite real.
+    x : float or 1-D ndarray
+        Evaluation point(s), any finite real.
 
     Returns
     -------
-    float
+    float, or a float64 array shaped like x
 
     Raises
     ------
     OverflowError
         Where the recurrence leaves the finite float range (m = 64 from
-        |x| ~ 1.5e6).
+        |x| ~ 1.5e6), at any element of an array.
 
     Notes
     -----
     Uses (n+1) L_{n+1} = (2n+1-x) L_n - n L_{n-1}, which keeps full accuracy
     at orders where the alternating power-series form already loses digits
-    to cancellation.
+    to cancellation.  The recurrence is plain arithmetic, which numpy rounds
+    as Python does, so an array gives the float values bit for bit.
     """
     m = _check_order(m)
+    if isinstance(x, np.ndarray):
+        x = _float_array(x)
+        check = functools.partial(laguerre, m)
+        _first_failure(check, x, np.isfinite(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cur = _recurrence(m, x)
+        _first_failure(check, x, np.isfinite(cur))
+        return cur
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"laguerre argument must be finite, got {x!r}")
+    cur = _recurrence(m, x)
+    if not math.isfinite(cur):
+        raise OverflowError(f"L_{m}({x!r}) leaves the float range in the Laguerre recurrence")
+    return cur
+
+
+def _recurrence(m, x):
     if m == 0:
-        return 1.0
+        return 1.0 + 0.0 * x  # 1.0, shaped like x
     prev = 1.0
     cur = 1.0 - x
     for n in range(1, m):
         prev, cur = cur, ((2.0 * n + 1.0 - x) * cur - n * prev) / (n + 1.0)
-    if not math.isfinite(cur):
-        raise OverflowError(f"L_{m}({x!r}) leaves the float range in the Laguerre recurrence")
     return cur
 
 
@@ -97,12 +149,16 @@ def kappa(m, alpha2):
     The denominator is a sum of positive terms and therefore strictly
     positive for alpha2 >= 0; the triangle inequality gives |kappa| <= 1.
     Where L_m(-|alpha|^2) overflows (m = 64 from |alpha|^2 ~ 1.5e6) both
-    polynomials are taken in units of |alpha|^(2m) instead.
+    polynomials are taken in units of |alpha|^(2m) instead.  alpha2 may be
+    a float or a 1-D float64 array.
     """
-    alpha2 = _check_alpha2(alpha2)
+    alpha2 = _check_alpha2_or_array(alpha2)
     try:
         denominator = laguerre(m, -alpha2)
     except OverflowError:
+        if isinstance(alpha2, np.ndarray):
+            # the elements whose denominator overflows take the scaled branch
+            return _elementwise(functools.partial(kappa, m), alpha2)
         return _scaled_laguerre(m, alpha2, alpha2) / _scaled_laguerre(m, -alpha2, alpha2)
     return laguerre(m, alpha2) / denominator
 
@@ -142,3 +198,14 @@ def binary_entropy(x):
     if x <= 0.0 or x >= 1.0:
         return 0.0
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+
+
+def _binary_entropy_array(x):
+    # binary_entropy of every element of a checked float64 array, with the
+    # float function's check, roundings (C-library log2) and zeros
+    _first_failure(binary_entropy, x, (x >= -_ENTROPY_GUARD) & (x <= 1.0 + _ENTROPY_GUARD))
+    inside = (x > 0.0) & (x < 1.0)
+    y = x[inside]
+    h = np.zeros(x.shape)
+    h[inside] = -(y * _elementwise(math.log2, y) + (1.0 - y) * _elementwise(math.log2, 1.0 - y))
+    return h

@@ -11,6 +11,7 @@ from pacsqc.cli import (
     FIGURE_PRESETS,
     SweepSpec,
     UsageError,
+    build_parser,
     figure_spec,
     main,
 )
@@ -218,6 +219,14 @@ class TestVerifyCommand:
         rows = [(r["alpha2"], r["m"], r["k"]) for r in read_rows(out)]
         assert rows == [("0.10000000000000001", "1", "0"), ("4", "1", "0")]
 
+    def test_repeated_strengths_are_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "verify.csv"
+        code = main(["verify", "--start", "1", "--stop", "1", "--steps", "3", "--m", "0", "--k", "0", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "start=1.0" in err and "stop=1.0" in err and "steps=3" in err
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         args = ["verify", "--start", "0.2", "--stop", "2.0", "--steps", "3", "--m", "0", "3", "--k", "0", "1",
                 "--out"]
@@ -269,3 +278,50 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and shares it."""
+
+    def run(self, argv, capsys, tmp_path, fresh):
+        if fresh:
+            build_parser.cache_clear()
+        out = tmp_path / "out.csv"
+        if out.exists():
+            out.unlink()
+        code = main([str(out) if arg == "OUT" else arg for arg in argv])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+    def test_consecutive_calls_match_fresh_calls(self, capsys, tmp_path):
+        calls = [
+            ["threshold", "--m", "0", "--k", "1"],
+            ["sweep", "--start", "0.5", "--stop", "1.5", "--steps", "3", "--m", "0", "2", "--out", "OUT"],
+            ["figure", "fig8", "--out", "OUT"],
+            ["verify", "--start", "0.5", "--stop", "1.0", "--steps", "2", "--m", "1", "--k", "0", "--out", "OUT"],
+            ["sweep", "--start", "oops", "--stop", "2", "--steps", "2", "--out", "OUT"],
+            ["threshold", "--m", "3", "--k", "0"],
+            ["verify", "--start", "1", "--stop", "1", "--steps", "2", "--out", "OUT"],
+            ["sweep", "--axis", "p", "--start", "0.5", "--stop", "1", "--steps", "2", "--k", "1",
+             "--quantities", "E12", "D23", "--out", "OUT"],
+            [],
+            ["threshold", "--m", "0", "--k", "1"],
+        ]
+        fresh = [self.run(argv, capsys, tmp_path, fresh=True) for argv in calls]
+        shared = [self.run(argv, capsys, tmp_path, fresh=False) for argv in calls]
+        assert shared == fresh
+        assert [result[0] for result in shared] == [
+            EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_OK
+        ]
+        assert build_parser() is build_parser()
+
+    def test_list_defaults_not_mutated(self, tmp_path):
+        assert main(["sweep", "--start", "1", "--stop", "2", "--steps", "2", "--out", str(tmp_path / "a.csv")]) == EXIT_OK
+        assert main(["verify", "--steps", "2", "--out", str(tmp_path / "b.csv")]) == EXIT_OK
+        assert main(["sweep", "--start", "1", "--stop", "2", "--steps", "2", "--m", "5", "6", "--k", "1",
+                     "--quantities", "S1", "S2", "--out", str(tmp_path / "c.csv")]) == EXIT_OK
+        sweep = build_parser().parse_args(["sweep", "--start", "1", "--stop", "2", "--steps", "2", "--out", "x"])
+        verify = build_parser().parse_args(["verify"])
+        assert (sweep.m, sweep.k, sweep.quantities) == ([0], [0], ["D12"])
+        assert (verify.m, verify.k) == ([0, 1, 2, 3, 4], [0, 1])
+

@@ -1,13 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
 from pacsqc import special
 from pacsqc.fock_oracle import build_tripartite
 from pacsqc.special import binary_entropy
 from pacsqc.states import LimitRegimeError, ModelParams, ghz_rho12, ghz_rho23
+from pacsqc import correlations
+from pacsqc.states import DEGENERATE_ALPHA2
 from pacsqc.correlations import (
     QUANTITIES,
+    closed_forms,
     deficit,
     discord_12,
     discord_12_peak,
@@ -410,3 +414,83 @@ class TestPeakLocator:
     def test_argmax_moves_left(self):
         peaks = [discord_12_peak(m, 0)[0] for m in range(4)]
         assert all(b < a for a, b in zip(peaks, peaks[1:]))
+
+
+def threshold_scan_grid():
+    # the log grid `violation_threshold` scans
+    lo_exp, hi_exp = math.log10(correlations._SCAN_LO), math.log10(correlations._SCAN_HI)
+    n = correlations._SCAN_POINTS
+    return [10.0 ** (lo_exp + i * (hi_exp - lo_exp) / (n - 1)) for i in range(n)]
+
+
+def peak_scan_grid(lo=0.01, hi=4.0, n=400):
+    # the coarse grid `discord_12_peak` scans
+    return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+
+
+class TestClosedForms:
+    """One body for a float or an array of |alpha|^2: the array call gives
+    the float call's values bit for bit."""
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 16, 33, 64])
+    def test_array_equals_report_on_scan_grids(self, m, k):
+        grid = threshold_scan_grid() + peak_scan_grid()
+        fields = closed_forms(np.array(grid), m, k)
+        assert list(fields) == list(QUANTITIES)
+        reports = [report(ModelParams(a, m, k)) for a in grid]
+        for name in QUANTITIES:
+            assert fields[name].tolist() == [getattr(rep, name) for rep in reports], name
+
+    def test_float_call_equals_report(self):
+        for params in GRID[::7]:
+            assert closed_forms(params.alpha2, params.m, params.k) == report(params).as_dict()
+
+    def test_degenerate_element_raises(self):
+        with pytest.raises(LimitRegimeError):
+            closed_forms(np.array([0.5, 0.5 * DEGENERATE_ALPHA2]), 2, 1)
+        with pytest.raises(LimitRegimeError):
+            closed_forms(0.0, 0, 1)
+        # even parity has no degenerate point
+        assert closed_forms(np.array([0.0, 0.5]), 2, 0)["D12"][0] == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.25])
+    def test_invalid_strength_raises_as_float_call(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            ModelParams(bad, 1, 0)
+        with pytest.raises(ValueError) as array:
+            closed_forms(np.array([0.5, bad]), 1, 0)
+        assert str(array.value) == str(scalar.value)
+
+    def test_invalid_order_and_parity(self):
+        with pytest.raises(ValueError):
+            closed_forms(np.array([0.5]), 65, 0)
+        with pytest.raises(ValueError):
+            closed_forms(np.array([0.5]), 1, 2)
+
+
+class TestFinderAnswers:
+    # (m, k): (violation_threshold, discord_12_peak), as computed by the
+    # scalar scans that the array scans replaced
+    PINNED = {
+        (0, 0): (0.05924602667330397, (0.34657357976106695, 0.1872985985687719)),
+        (0, 1): (0.10785088622823531, (0.010000000035355098, 0.5417583733140596)),
+        (1, 0): (0.015703039441176587, (0.2516399410277116, 0.18601957016038068)),
+        (1, 1): (0.03914531326457057, (0.010000000035355098, 0.5323025991633732)),
+        (2, 0): (0.0023383522001510565, (0.21504632183879827, 0.18865348974017987)),
+        (2, 1): (0.01160842544573909, (0.010000000035355098, 0.48739455109577623)),
+        (5, 0): (None, (0.17620217796352453, 0.20051720245975782)),
+        (5, 1): (None, (0.010000000035355098, 0.37392648831658576)),
+        (64, 0): (None, (0.13792405738762106, 0.21409577333401594)),
+        (64, 1): (None, (0.1393096747731282, 0.21474964014797948)),
+    }
+
+    @pytest.mark.parametrize("point", sorted(PINNED))
+    def test_pinned(self, point):
+        assert (violation_threshold(*point), discord_12_peak(*point)) == self.PINNED[point]
+
+    def test_peak_from_degenerate_region(self):
+        # a grid that starts at alpha2 = 0 with odd parity goes through the
+        # analytic limits of `report` point by point
+        assert discord_12_peak(1, 1, lo=0.0) == (3.544370638627595e-11, 0.5433007782061372)
+

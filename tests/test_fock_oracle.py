@@ -435,6 +435,13 @@ class TestVerify:
             ModelParams(0.5, 0, 1), ModelParams(1.0, 0, 1), ModelParams(0.5, 2, 1), ModelParams(1.0, 2, 1)
         ]
 
+    def test_grid_rejects_repeated_strengths(self):
+        with pytest.raises(ValueError, match=r"start=1.0, stop=1.0, steps=3"):
+            verification_grid(1.0, 1.0, 3, (0,), (0,))
+        assert verification_grid(1.0, 1.0, 1, (0,), (0,)) == [ModelParams(1.0, 0, 0)]
+        # descending grids stay allowed
+        assert verification_grid(2.0, 1.0, 2, (0,), (0,)) == [ModelParams(2.0, 0, 0), ModelParams(1.0, 0, 0)]
+
     def test_default_grid_shape(self):
         grid = verification_grid()
         assert len(grid) == 400

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from pacsqc.correlations import report
 from pacsqc.states import ModelParams
 from pacsqc.special import (
     MAX_PHOTON_ORDER,
+    _binary_entropy_array,
     _scaled_laguerre,
     binary_entropy,
     kappa,
@@ -153,3 +155,60 @@ class TestBinaryEntropy:
         for bad in (-1e-11, 1.0 + 1e-11, 2.0, math.nan):
             with pytest.raises(ValueError):
                 binary_entropy(bad)
+
+
+def scalar_error(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+class TestArrays:
+    """`laguerre`, `kappa` and the array entropy take a 1-D float64 array
+    and give, bit for bit, what the float call gives at each element."""
+
+    STRENGTHS = np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-9, 1e7, 300), np.linspace(0.0, 20.0, 201)])
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 16, 33, 63, 64])
+    def test_laguerre_matches_float_calls(self, m):
+        x = np.concatenate([self.STRENGTHS[self.STRENGTHS < 1e6], -self.STRENGTHS[self.STRENGTHS < 1e6]])
+        assert laguerre(m, x).tolist() == [laguerre(m, v) for v in x.tolist()]
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 16, 33, 63, 64])
+    def test_kappa_matches_float_calls(self, m):
+        # up to 1e7, so m = 64 takes the scaled branch at its largest strengths
+        values = kappa(m, self.STRENGTHS)
+        assert values.dtype == np.float64 and values.shape == self.STRENGTHS.shape
+        assert values.tolist() == [kappa(m, a) for a in self.STRENGTHS.tolist()]
+
+    def test_laguerre_overflow_names_first_element(self):
+        with pytest.raises(OverflowError) as info:
+            laguerre(64, np.array([1.0, -1e7, 1e7]))
+        assert str(info.value) == scalar_error(laguerre, 64, -1e7)[1]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, -1e-300])
+    def test_kappa_rejects_as_float_call(self, bad):
+        with pytest.raises(ValueError) as info:
+            kappa(2, np.array([0.5, bad, 1.0]))
+        assert (info.type, str(info.value)) == scalar_error(kappa, 2, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_laguerre_rejects_as_float_call(self, bad):
+        with pytest.raises(ValueError) as info:
+            laguerre(3, np.array([bad, 0.5]))
+        assert (info.type, str(info.value)) == scalar_error(laguerre, 3, bad)
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            kappa(1, np.ones((2, 2)))
+
+    def test_binary_entropy_matches_float_calls(self):
+        x = np.concatenate([[-5e-13, 0.0, 5e-324, 0.5, 1.0 - 1e-16, 1.0, 1.0 + 5e-13], np.linspace(0.0, 1.0, 1001)])
+        assert _binary_entropy_array(x).tolist() == [binary_entropy(v) for v in x.tolist()]
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-11, 1.0 + 1e-11])
+    def test_binary_entropy_rejects_as_float_call(self, bad):
+        with pytest.raises(ValueError) as info:
+            _binary_entropy_array(np.array([0.5, bad]))
+        assert (info.type, str(info.value)) == scalar_error(binary_entropy, bad)
+
