@@ -72,12 +72,15 @@ class SweepSpec:
         if unknown:
             raise UsageError(f"unknown quantities {unknown}; choose from {', '.join(QUANTITIES)}")
 
-    def axis_values(self):
-        span = self.stop - self.start
-        values = [self.start + i * span / (self.steps - 1) for i in range(self.steps)]
+    def axis_value(self, i):
+        """Grid point i of the inclusive range, i = 0..steps-1."""
+        value = self.start + i * (self.stop - self.start) / (self.steps - 1)
         # the last p can round above stop; past p = 1 alpha2 would turn
         # negative, so only there is it clamped (to stop = 1)
-        return [min(value, 1.0) for value in values] if self.axis == "p" else values
+        return min(value, 1.0) if self.axis == "p" else value
+
+    def axis_values(self):
+        return [self.axis_value(i) for i in range(self.steps)]
 
 
 # Figure id -> (quantity, parity); every preset sweeps m = 0..3 over
@@ -112,13 +115,18 @@ def _fmt(value):
 
 
 def run_sweep(spec):
-    """Evaluate the sweep and return (header, rows); rows are sorted by
-    (k, m, axis value) and all floats are printed with 17 significant digits."""
+    """Return (header, rows) for the sweep. rows is a lazy iterator: each row
+    is evaluated when it is drawn, sorted by (k, m, axis value), with all
+    floats printed with 17 significant digits."""
     header = ["alpha2", "p", "m", "k"] + list(spec.quantities)
-    rows = []
+    return header, _sweep_rows(spec)
+
+
+def _sweep_rows(spec):
     for k in sorted(set(spec.k_list)):
         for m in sorted(set(spec.m_list)):
-            for value in spec.axis_values():
+            for i in range(spec.steps):
+                value = spec.axis_value(i)
                 if spec.axis == "alpha2":
                     alpha2, p = value, math.exp(-2.0 * value)
                 else:
@@ -127,11 +135,13 @@ def run_sweep(spec):
                 rep = report(ModelParams(alpha2, m, k))
                 row = [_fmt(alpha2), _fmt(p), str(m), str(k)]
                 row += [_fmt(getattr(rep, name)) for name in spec.quantities]
-                rows.append(row)
-    return header, rows
+                yield row
 
 
 def _write_csv(path, header, rows):
+    """Open path, then write the header and each row as rows yields it, so a
+    lazy rows is evaluated only once the file is open and never held whole;
+    a failure while rows are drawn leaves the file cut short."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)

@@ -100,6 +100,8 @@ def inner(bra, ket):
 def coherent_vector(alpha, nmax):
     """Coherent state e^{-|alpha|^2/2} sum_n alpha^n / sqrt(n!) |n> truncated
     at nmax; raises TruncationError when the tail amplitude is not negligible."""
+    if nmax != int(nmax) or nmax < 0:
+        raise ValueError(f"Fock cutoff nmax must be a non-negative integer, got {nmax!r}")
     alpha = float(alpha)
     amp = np.zeros(nmax + 1, dtype=complex)
     amp[0] = math.exp(-0.5 * alpha * alpha)

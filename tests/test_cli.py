@@ -1,8 +1,10 @@
 import csv
 import math
+import tracemalloc
 
 import pytest
 
+from pacsqc import cli
 from pacsqc.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -14,8 +16,9 @@ from pacsqc.cli import (
     build_parser,
     figure_spec,
     main,
+    run_sweep,
 )
-from pacsqc.correlations import discord_12, report
+from pacsqc.correlations import QUANTITIES, discord_12, report
 from pacsqc.states import ModelParams
 
 
@@ -137,6 +140,70 @@ class TestSweepCommand:
         )
         assert code == EXIT_IO
 
+    def test_unwritable_path_fails_before_evaluation(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counting_report(params):
+            calls.append(params)
+            return report(params)
+
+        monkeypatch.setattr(cli, "report", counting_report)
+        for argv in (
+            ["sweep", "--start", "1", "--stop", "2", "--steps", "100000", "--quantities", "D12"],
+            ["figure", "fig3"],
+        ):
+            assert main(argv + ["--out", str(tmp_path / "missing" / "x.csv")]) == EXIT_IO
+            assert "pacsqc: i/o error:" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--start", "1", "--stop", "2", "--steps", "50", "--m", "0", "2"], ["figure", "fig5"]]
+    )
+    def test_failure_while_streaming_keeps_error_contract(self, tmp_path, monkeypatch, capsys, argv):
+        # a failure at the Nth row exits as a usage error with the failure's
+        # message; the rows drawn before it may already be in the file
+        calls = []
+
+        def failing_report(params):
+            calls.append(params)
+            if len(calls) == 60:
+                raise ValueError("injected failure at row 60")
+            return report(params)
+
+        monkeypatch.setattr(cli, "report", failing_report)
+        code = main(argv + ["--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "pacsqc: error: injected failure at row 60\n"
+        assert len(calls) == 60
+
+
+class TestStreamedOutput:
+    def test_memory_does_not_hold_the_rows(self, tmp_path):
+        # 5000 steps x 2 orders x 2 parities = 20 000 rows of 16 quantities;
+        # held as a list they take ~30 MB of Python objects
+        out = tmp_path / "sweep.csv"
+
+        def sweep(steps):
+            return main(["sweep", "--start", "0.01", "--stop", "6", "--steps", str(steps), "--m", "0", "3",
+                         "--k", "0", "1", "--quantities", *QUANTITIES, "--out", str(out)])
+
+        assert sweep(2) == EXIT_OK  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            code = sweep(5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+        spec = SweepSpec("alpha2", 0.01, 6.0, 5000, [0, 3], [0, 1], list(QUANTITIES), str(out))
+        header, rows = run_sweep(spec)
+        with open(out, newline="", encoding="utf-8") as handle:
+            written = list(csv.reader(handle))
+        assert len(written) == 1 + 20_000
+        assert written[0] == header
+        assert list(rows) == written[1:]
+
 
 class TestFigureCommand:
     def test_preset_bindings(self):
@@ -242,6 +309,18 @@ class TestVerifyCommand:
              "--nmax-override", "40", "--out", str(tmp_path / "verify.csv")]
         )
         assert code == EXIT_OK
+
+
+    @pytest.mark.parametrize("nmax", ["-3", "-1"])
+    def test_negative_nmax_is_precise_error(self, tmp_path, capsys, nmax):
+        out = tmp_path / "verify.csv"
+        code = main(
+            ["verify", "--nmax-override", nmax, "--steps", "1", "--start", "1", "--stop", "1", "--m", "3",
+             "--k", "0", "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert f"nmax must be a non-negative integer, got {nmax}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestThresholdCommand:

@@ -97,6 +97,11 @@ class TestFockVectors:
         with pytest.raises(TruncationError):
             coherent_vector(3.0, 5)
 
+    @pytest.mark.parametrize("nmax", [-1, -3, 2.5])
+    def test_invalid_cutoff_is_named(self, nmax):
+        with pytest.raises(ValueError, match=f"non-negative integer, got {nmax}"):
+            coherent_vector(1.0, nmax)
+
     def test_add_photons_on_vacuum(self):
         v = add_photons(coherent_vector(0.0, 8), 3)
         expected = np.zeros(9)
