@@ -202,28 +202,35 @@ def _cmd_verify(args):
     tolerance = args.tolerance
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise UsageError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+    if args.nmax_override is not None and args.nmax_override < 0:
+        raise UsageError(f"Fock cutoff nmax must be a non-negative integer, got {args.nmax_override}")
     points = fock_oracle.verification_grid(args.start, args.stop, args.steps, tuple(args.m), tuple(args.k))
     field_names = list(fock_oracle.FIELD_BOUNDS)
     header = ["alpha2", "p", "m", "k"] + [f"dev_{name}" for name in field_names] + ["max_abs_deviation"]
-    rows = []
-    all_pass = True
-    for params, record in zip(points, fock_oracle.verify_points(points, nmax=args.nmax_override)):
-        ok = record.passes(bound_override=tolerance)
-        all_pass = all_pass and ok
-        row = [_fmt(params.alpha2), _fmt(params.p), str(params.m), str(params.k)]
-        row += [_fmt(record.deviations[name]) for name in field_names]
-        row.append(_fmt(record.max_abs_deviation))
-        rows.append(row)
-        if not ok:
-            name, dev = record.worst()
-            print(
-                f"FAIL alpha2={params.alpha2:.6g} m={params.m} k={params.k}: {name} deviates by {dev:.3e}",
-                file=sys.stderr,
-            )
+    failed = []
+
+    def rows():
+        # drawn once --out is open, so an unwritable path fails before the oracle runs
+        for params, record in zip(points, fock_oracle.verify_points(points, nmax=args.nmax_override)):
+            row = [_fmt(params.alpha2), _fmt(params.p), str(params.m), str(params.k)]
+            row += [_fmt(record.deviations[name]) for name in field_names]
+            row.append(_fmt(record.max_abs_deviation))
+            if not record.passes(bound_override=tolerance):
+                failed.append(params)
+                name, dev = record.worst()
+                print(
+                    f"FAIL alpha2={params.alpha2:.6g} m={params.m} k={params.k}: {name} deviates by {dev:.3e}",
+                    file=sys.stderr,
+                )
+            yield row
+
     if args.out:
-        _write_csv(args.out, header, rows)
-    print(f"verified {len(points)} points: {'all within bounds' if all_pass else 'bound exceeded'}")
-    return EXIT_OK if all_pass else EXIT_VERIFY
+        _write_csv(args.out, header, rows())
+    else:
+        for _ in rows():
+            pass
+    print(f"verified {len(points)} points: {'bound exceeded' if failed else 'all within bounds'}")
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 def _cmd_threshold(args):

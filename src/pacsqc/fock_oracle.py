@@ -17,7 +17,9 @@ stacked calls, validating each stack of densities once; the one-object
 functions run the same kernels on a stack of one.  The discord minimizer
 works on the real Bloch form (r, s, T) of each 4x4 density, where the
 conditional entropy depends on the direction n only through n.r, n.(T s)
-and n^T T T^T n: a 64x64 (theta, phi) grid pass, then zoom stencil rounds.
+and n^T T T^T n: a 32x32 (theta, phi) grid pass, then zoom stencil rounds
+that keep their step while the best point lies on the stencil's outer ring
+and stop each density at a step of about sqrt(eps).
 """
 
 import math
@@ -327,15 +329,20 @@ def build_bell_pair(params, nmax=None):
     return DensityMatrix(_cat_projectors([params], nmax)[1][0], (2, 2))
 
 
-_THETA_POINTS = 64
-_PHI_POINTS = 64
+_THETA_POINTS = 32
+_PHI_POINTS = 32
 # Zoom refinement: each round evaluates a 9x9 stencil spanning +- the
-# round's (theta, phi) half-widths.  They start at one grid step and shrink
-# 4x per round, so each stencil spans the neighbouring cells of the previous
-# round's best point; the last round is the first with both <= 1e-10 rad.
+# density's (theta, phi) half-widths, which start at one grid step.  A round
+# whose best point improves on the centre from the outer ring `_EDGE` keeps
+# them, as the minimum may lie beyond the ring; every other round shrinks
+# them 4x.  A density stops once both are <= 1.5e-8 rad (about sqrt(eps): a
+# smooth minimum's value error, about H h^2, is then below eps) or after
+# _MAX_ROUNDS rounds (a narrow curved valley can take ~300).
 _STENCIL = np.arange(-4, 5) / 4.0
-_HALF_WIDTHS = np.array([math.pi / (_THETA_POINTS - 1), 2.0 * math.pi / _PHI_POINTS])
-_HALF_WIDTHS = _HALF_WIDTHS / 4.0 ** np.arange(1 + math.ceil(math.log(_HALF_WIDTHS.max() / 1e-10, 4)))[:, None]
+_EDGE = ((np.abs(_STENCIL[:, None]) == 1.0) | (np.abs(_STENCIL) == 1.0)).ravel()
+_FIRST_HALF_WIDTHS = np.array([math.pi / (_THETA_POINTS - 1), 2.0 * math.pi / _PHI_POINTS])
+_STOP_HALF_WIDTH = 1.5e-8
+_MAX_ROUNDS = 500
 
 
 def _features(theta, phi):
@@ -354,10 +361,11 @@ def _features(theta, phi):
 # the rows theta < pi/2 are evaluated.
 _GRID_PHI = np.linspace(0.0, 2.0 * math.pi, _PHI_POINTS, endpoint=False)
 _GRID_FEATURES = _features(np.linspace(0.0, math.pi, _THETA_POINTS)[None, : _THETA_POINTS // 2], _GRID_PHI[None])[0]
-# Densities per grid-pass chunk: its largest temporaries, the (a, b, u)
-# block and the two stacked outcomes, then hold 192 KB and 128 KB.  Chunks
-# of 8 ran ~1.8x slower per density (measured on a 2-vCPU x86 VM).
-_GRID_CHUNK = 4
+# Densities per grid-pass chunk (results do not depend on it): the largest
+# temporaries, the (16, 3, 512) product and the two outcomes, hold 192 KB and
+# 128 KB.  On the default verify grid's 800 densities, chunks of 4, 8, 16, 32
+# and 64 took 42, 35, 29, 28 and 31 us per density (one core, 2-vCPU x86 VM).
+_GRID_CHUNK = 16
 
 
 def _coefficients(corr):
@@ -400,11 +408,12 @@ def _min_conditional_entropy(corr):
     Each grid minimum is rotated onto the equator of a local chart, so that
     no stencil has to work across a chart pole, where phi steps shrink to
     nothing and a minimum a little off the pole is out of reach.  The zoom
-    rounds run on the whole stack in those charts; a centre moves only when
-    its stencil improves on it, so the result never exceeds the grid minimum.
+    rounds run in those charts on the densities not yet finished (``index``
+    holds their rows), so none depends on how long its stack-mates take; a
+    centre moves only when its stencil improves on it, so the result never
+    exceeds the grid minimum.
     """
-    coeffs = _coefficients(corr)
-    rows = np.arange(len(corr))
+    coeffs, rows = _coefficients(corr), np.arange(len(corr))
     pick, best = np.empty(len(corr), dtype=int), np.empty(len(corr))
     for start in range(0, len(corr), _GRID_CHUNK):
         chunk = slice(start, start + _GRID_CHUNK)
@@ -418,18 +427,23 @@ def _min_conditional_entropy(corr):
     phi_hat = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros(len(phi))])
     rotated = corr.copy()
     rotated[:, 1:] = np.stack([n, phi_hat, np.cross(n, phi_hat)], axis=1) @ corr[:, 1:]
-    local = _coefficients(rotated)
-    centre = np.tile([0.5 * math.pi, 0.0], (len(corr), 1))
-    for half_theta, half_phi in _HALF_WIDTHS:
-        theta = centre[:, 0, None] + half_theta * _STENCIL
-        phi = centre[:, 1, None] + half_phi * _STENCIL
-        values = _conditional_entropy(np.matmul(local, _features(theta, phi)))
-        pick = np.argmin(values, axis=1)
-        low = values[rows, pick]
-        better = low < best
-        best = np.where(better, low, best)
-        moved = np.column_stack([theta[rows, pick // _STENCIL.size], phi[rows, pick % _STENCIL.size]])
-        centre = np.where(better[:, None], moved, centre)
+    local, centre = _coefficients(rotated), np.tile([0.5 * math.pi, 0.0], (len(corr), 1))
+    half, index, least = np.tile(_FIRST_HALF_WIDTHS, (len(corr), 1)), rows, best.copy()
+    for _ in range(_MAX_ROUNDS):
+        grid = centre[:, :, None] + half[:, :, None] * _STENCIL
+        values = _conditional_entropy(np.matmul(local, _features(grid[:, 0], grid[:, 1])))
+        pick, here = np.argmin(values, axis=1), rows[: len(index)]
+        low = values[here, pick]
+        better = low < least
+        least = np.where(better, low, least)
+        i, j = np.divmod(pick, _STENCIL.size)
+        centre = np.where(better[:, None], np.column_stack([grid[here, 0, i], grid[here, 1, j]]), centre)
+        half = half * np.where(better & _EDGE[pick], 1.0, 0.25)[:, None]
+        best[index], going = least, np.max(half, axis=1) > _STOP_HALF_WIDTH
+        if not going.all():
+            index, least, centre, half, local = index[going], least[going], centre[going], half[going], local[going]
+            if not index.size:
+                break
     return best
 
 
@@ -453,14 +467,15 @@ def discord_numeric(rho, measured=0):
 
     ``rho`` is one two-qubit DensityMatrix, giving a float, or a sequence of
     them, giving a list of floats from one stacked minimization.  The
-    conditional entropy is minimized on a 64x64 (theta, phi) grid, refined
-    by zoom rounds of a 9x9 stencil down to 1e-10 rad; the result is
-    S_measured - S_joint + min conditional entropy.
+    conditional entropy is minimized on a 32x32 (theta, phi) grid, refined
+    by 9x9 stencil rounds that keep their half-widths when the best point
+    lies on the outer ring, shrink them 4x otherwise and stop at 1.5e-8 rad
+    (about sqrt(eps)); the result is S_measured - S_joint + that minimum.
     """
     single = isinstance(rho, DensityMatrix)
     densities = [rho] if single else list(rho)
-    if measured not in (0, 1):
-        raise ValueError("measured side must be 0 or 1")
+    if isinstance(measured, bool) or not isinstance(measured, (int, np.integer)) or measured not in (0, 1):
+        raise ValueError(f"measured side must be 0 or 1, got {measured!r}")
     if any(tuple(density.dims) != (2, 2) for density in densities):
         raise ValueError("discord is computed for two-qubit densities")
     data = np.array([density.data for density in densities]).reshape(len(densities), 4, 4)

@@ -310,6 +310,14 @@ class TestVerifyCommand:
         )
         assert code == EXIT_OK
 
+    def test_unwritable_path_fails_before_the_oracle(self, tmp_path, monkeypatch):
+        from pacsqc import fock_oracle
+
+        calls = []
+        monkeypatch.setattr(fock_oracle, "verify_points", lambda *args, **kwargs: calls.append(args))
+        assert main(["verify", "--out", str(tmp_path / "missing" / "x.csv")]) == EXIT_IO
+        assert calls == []
+
 
     @pytest.mark.parametrize("nmax", ["-3", "-1"])
     def test_negative_nmax_is_precise_error(self, tmp_path, capsys, nmax):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from pacsqc.special import binary_entropy, laguerre, pacs_overlap
 from pacsqc.states import LimitRegimeError, ModelParams, ghz_rho12, ghz_rho23
-from pacsqc import correlations
+from pacsqc import correlations, fock_oracle
 from pacsqc.correlations import report
 from pacsqc.fock_oracle import _mode_pairs, _psd_sqrt, _superposition
 from pacsqc.fock_oracle import (
@@ -43,14 +43,16 @@ def random_densities(count, seed):
     return densities
 
 
-def brute_force_discord(rho, points=256):
-    """Discord measuring the left qubit, minimized over a dense points x points
-    (theta, phi) grid of projectors applied to the density matrix itself."""
-    theta, phi = np.meshgrid(
-        np.linspace(0.0, math.pi, points), np.linspace(0.0, 2.0 * math.pi, points, endpoint=False), indexing="ij"
-    )
+def conditional_entropies(rho, theta, phi, measured=0):
+    """Post-measurement conditional entropies of the unmeasured qubit for
+    projective measurements of the ``measured`` qubit along the Bloch
+    directions (theta, phi), from projectors applied to the density matrix
+    itself."""
+    theta, phi = np.broadcast_arrays(theta, phi)
     spinors = np.stack([np.cos(0.5 * theta), np.exp(1j * phi) * np.sin(0.5 * theta)], axis=-1).reshape(-1, 2)
     tensor = rho.data.reshape(2, 2, 2, 2)
+    if measured == 1:
+        tensor = tensor.transpose(1, 0, 3, 2)
     branch = np.einsum("na,ajbl,nb->njl", spinors.conj(), tensor, spinors)
     other = np.einsum("jajb->ab", tensor)
     conditional = np.zeros(len(spinors))
@@ -58,8 +60,57 @@ def brute_force_discord(rho, points=256):
         lam = np.clip(np.linalg.eigvalsh(sigma), 1e-300, None)
         weight = lam.sum(axis=1)
         conditional += weight * np.log2(weight) - np.sum(lam * np.log2(lam), axis=1)
-    s_measured = von_neumann_entropy(np.einsum("ajbj->ab", tensor))
-    return s_measured - von_neumann_entropy(rho) + float(conditional.min())
+    return conditional
+
+
+def brute_force_discord(rho, points=256, measured=0, polish=False):
+    """Discord measuring the ``measured`` qubit, minimized over a dense
+    points x points (theta, phi) grid; with ``polish``, scipy's Nelder-Mead
+    then starts from the grid minimum."""
+    theta, phi = np.meshgrid(
+        np.linspace(0.0, math.pi, points), np.linspace(0.0, 2.0 * math.pi, points, endpoint=False), indexing="ij"
+    )
+    conditional = conditional_entropies(rho, theta, phi, measured)
+    minimum, start = float(conditional.min()), np.unravel_index(np.argmin(conditional), theta.shape)
+    if polish:
+        optimize = pytest.importorskip("scipy.optimize")
+        result = optimize.minimize(
+            lambda x: float(conditional_entropies(rho, x[0], x[1], measured)[0]), [theta[start], phi[start]],
+            method="Nelder-Mead", options={"xatol": 1e-9, "fatol": 1e-16, "maxfev": 2000},
+        )
+        minimum = min(minimum, float(result.fun))
+    s_measured = von_neumann_entropy(partial_trace(rho, (measured,)))
+    return s_measured - von_neumann_entropy(rho) + minimum
+
+
+def seeded_densities(seed, count, rank, imaginary):
+    """``count`` random two-qubit densities raw raw^+ / tr with raw a 4 x
+    rank(i) complex Gaussian matrix whose imaginary part is scaled by
+    imaginary(i)."""
+    rng = np.random.default_rng(seed)
+    densities = []
+    for i in range(count):
+        shape = (4, rank(i))
+        raw = rng.normal(size=shape) + 1j * rng.normal(size=shape) * imaginary(i)
+        rho = raw @ raw.conj().T
+        densities.append(DensityMatrix(rho / np.trace(rho).real, (2, 2)))
+    return densities
+
+
+# Densities on which a zoom that shrank 4x every round stopped short of the
+# minimum in an anisotropic valley, with the side measured: (set, index, side).
+# Set 1 draws ranks 1-4 with complex entries, set 2 ranks 2-4 with the
+# imaginary part on every other density.  Set 2's index 460 needs ~300 rounds.
+STALL_SETS = {
+    1: lambda: seeded_densities(0, 3000, lambda i: i % 4 + 1, lambda i: 1),
+    2: lambda: seeded_densities(99, 2000, lambda i: (2, 3, 4)[i % 3], lambda i: i % 2),
+}
+STALL_CASES = [(1, 654, 0), (1, 1971, 1), (2, 601, 1), (2, 1198, 0), (2, 460, 1)]
+
+
+@pytest.fixture(scope="module")
+def stall_sets():
+    return {key: build() for key, build in STALL_SETS.items()}
 
 
 def classical_quantum(theta, phi):
@@ -310,6 +361,30 @@ class TestDiscordNumeric:
             stacked = discord_numeric(densities, measured=measured)
             assert stacked == [discord_numeric(rho, measured=measured) for rho in densities]
 
+    @pytest.mark.parametrize("key, index, measured", STALL_CASES)
+    def test_reaches_minimum_in_anisotropic_valley(self, stall_sets, key, index, measured):
+        rho = stall_sets[key][index]
+        reference = brute_force_discord(rho, points=64, measured=measured, polish=True)
+        assert discord_numeric(rho, measured=measured) <= reference + 1e-12
+
+    def test_stack_of_fast_and_slow_densities(self, stall_sets, monkeypatch):
+        # each zoom round calls `_features` once; a verify-grid density
+        # finishes in ~12 rounds, set 2's index 460 in ~300
+        stack = [partial_trace(build_tripartite(ModelParams(1.3, 2, 0)), (0, 1))]
+        stack += [stall_sets[key][index] for key, index, _ in STALL_CASES] + random_densities(3, seed=2)
+        features, calls = fock_oracle._features, []
+        monkeypatch.setattr(fock_oracle, "_features", lambda *args: calls.append(1) or features(*args))
+
+        def rounds(densities):
+            calls.clear()
+            return discord_numeric(densities, measured=1), len(calls)
+
+        single = [rounds(rho) for rho in stack]
+        stacked, stacked_rounds = rounds(stack)
+        assert stacked == [value for value, _ in single]
+        assert stacked_rounds == max(count for _, count in single) < fock_oracle._MAX_ROUNDS
+        assert min(count for _, count in single) < 20 < 200 < stacked_rounds
+
     def test_refinement_beats_dense_grid(self):
         densities = random_densities(12, seed=5)
         for rho, refined in zip(densities, discord_numeric(densities)):
@@ -339,8 +414,12 @@ class TestDiscordNumeric:
         rho12 = partial_trace(build_tripartite(params), (0, 1))
         d_mode1 = discord_numeric(rho12, measured=0)
         assert d_mode1 == pytest.approx(correlations.discord_12(params), abs=1e-3)
-        with pytest.raises(ValueError):
-            discord_numeric(rho12, measured=2)
+
+    @pytest.mark.parametrize("measured", [2, 1.0, True, "0"])
+    def test_measured_side_must_be_int_0_or_1(self, measured):
+        rho = DensityMatrix(np.eye(4) / 4.0, (2, 2))
+        with pytest.raises(ValueError, match=f"measured side must be 0 or 1, got {measured!r}"):
+            discord_numeric(rho, measured=measured)
 
     def test_x_state_candidates_bound_the_minimum(self):
         # the reductions are X-shaped; the sigma_z measurement and the best
