@@ -217,7 +217,7 @@ def _cmd_verify(args):
             row.append(_fmt(record.max_abs_deviation))
             if not record.passes(bound_override=tolerance):
                 failed.append(params)
-                name, dev = record.worst()
+                name, dev = record.worst(tolerance)
                 print(
                     f"FAIL alpha2={params.alpha2:.6g} m={params.m} k={params.k}: {name} deviates by {dev:.3e}",
                     file=sys.stderr,

@@ -29,8 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-from .special import _binary_entropy_array, _check_alpha2_or_array, _elementwise, _first_failure, binary_entropy, kappa
-from .states import DEGENERATE_ALPHA2, ModelParams, _require_regular
+from .special import (
+    _binary_entropy_array, _check_alpha2_or_array, _check_order, _elementwise, _first_failure, binary_entropy, kappa,
+)
+from .states import ModelParams, _check_parity, _degenerate, _require_regular
 
 __all__ = [
     "CorrelationReport",
@@ -162,7 +164,7 @@ def report(params):
     analytic limits with the missing fields left as None."""
     if params.is_degenerate:
         return replace(w_limit_report(params.m, params.k), params=params)
-    return CorrelationReport(params, *_closed_forms(params.alpha2, params.m, params.sign))
+    return CorrelationReport(params, *_closed_forms(params.alpha2, params.m, params.k))
 
 
 def closed_forms(alpha2, m=0, k=0):
@@ -173,10 +175,9 @@ def closed_forms(alpha2, m=0, k=0):
     Raises LimitRegimeError where an odd-parity strength lies below
     DEGENERATE_ALPHA2 (`report` returns the analytic limits there).
     """
-    a = _check_alpha2_or_array(alpha2)
-    point = ModelParams(a.min() if isinstance(a, np.ndarray) else a, m, k)
-    _require_regular(point)
-    return dict(zip(QUANTITIES, _closed_forms(a, point.m, point.sign)))
+    a, m, k = _check_alpha2_or_array(alpha2), _check_order(m), _check_parity(k)
+    _require_regular(a, k)
+    return dict(zip(QUANTITIES, _closed_forms(a, m, k)))
 
 
 def _square(v):
@@ -201,13 +202,14 @@ _ARRAY_PRIMITIVES = (
 )
 
 
-def _closed_forms(a, m, s):
-    # a = |alpha|^2 (float or checked 1-D array), s = cos k pi
+def _closed_forms(a, m, k):
+    # a = |alpha|^2 (float or checked 1-D array), checked m and k
     if isinstance(a, np.ndarray):
         exp, expm1, sqrt, square, nonneg, entropy, eof = _ARRAY_PRIMITIVES
     else:
         exp, expm1, sqrt, square, nonneg = math.exp, math.expm1, math.sqrt, _square, _nonneg
         entropy, eof = binary_entropy, eof_from_concurrence
+    s = 1 - 2 * k  # cos k pi
     km = kappa(m, a)
     e2 = exp(-2.0 * a)
     e4 = exp(-4.0 * a)
@@ -242,15 +244,18 @@ def _closed_forms(a, m, s):
     return s1, s2, s12, s23, c12, c23, c13, c1_23, e12, e23, e13, d1_23, d12, d23, d1_23, delta
 
 
-def _scan(grid, m, k, name):
-    """Field `name` at every strength of `grid` (a list), in one array call.
-
-    A grid that reaches the odd-parity degenerate region goes point by point
-    through `report`, which returns the analytic limits there.
-    """
-    if k == 1 and min(grid) < DEGENERATE_ALPHA2:
-        return [getattr(report(ModelParams(a, m, k)), name) for a in grid]
-    return closed_forms(np.array(grid), m, k)[name].tolist()
+def _field(m, k, index, alpha2):
+    # the finders' field: `report` field QUANTITIES[index] at a float or at
+    # each element of a checked array; degenerate strengths take the W-type
+    # limit, which an array takes from its value at alpha2 = 0
+    if not isinstance(alpha2, np.ndarray):
+        if _degenerate(alpha2, k):
+            return getattr(w_limit_report(m), QUANTITIES[index])
+        return _closed_forms(alpha2, m, k)[index]
+    limit = _degenerate(alpha2, k)
+    value = np.full(alpha2.shape, _field(m, k, index, 0.0) if limit.any() else math.nan)
+    value[~limit] = _closed_forms(alpha2[~limit], m, k)[index]
+    return value
 
 
 _SCAN_LO = 1e-6
@@ -269,14 +274,11 @@ def violation_threshold(m, k=1):
     None when the deficit never changes sign (discord monogamous on the
     whole window).
     """
-
-    def f(alpha2):
-        return deficit(ModelParams(alpha2, m, k))
-
+    f = functools.partial(_field, _check_order(m), _check_parity(k), QUANTITIES.index("Delta123"))
     lo_exp = math.log10(_SCAN_LO)
     hi_exp = math.log10(_SCAN_HI)
     grid = [10.0 ** (lo_exp + i * (hi_exp - lo_exp) / (_SCAN_POINTS - 1)) for i in range(_SCAN_POINTS)]
-    values = _scan(grid, m, k, "Delta123")
+    values = f(np.array(grid)).tolist()
     for i in range(_SCAN_POINTS - 1):
         v0, v1 = values[i], values[i + 1]
         if (v0 < -_SIGN_BAND and v1 > _SIGN_BAND) or (v0 > _SIGN_BAND and v1 < -_SIGN_BAND):
@@ -301,15 +303,14 @@ def discord_12_peak(m, k=0, lo=0.01, hi=4.0):
     """(argmax, max) of D_12 over |alpha|^2 in [lo, hi].
 
     A 400-point coarse scan brackets the peak; golden-section search then
-    narrows the bracket to 1e-10.
+    narrows the bracket to 1e-10.  Raises ValueError unless lo < hi.
     """
-
-    def f(alpha2):
-        return discord_12(ModelParams(alpha2, m, k))
-
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
+    f = functools.partial(_field, _check_order(m), _check_parity(k), QUANTITIES.index("D12"))
     n = 400
     grid = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
-    best = max(range(n), key=_scan(grid, m, k, "D12").__getitem__)
+    best = max(range(n), key=f(_check_alpha2_or_array(np.array(grid))).tolist().__getitem__)
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, n - 1)]
     x1 = b - _GOLDEN * (b - a)

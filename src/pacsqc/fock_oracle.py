@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import binary_entropy
-from .states import LimitRegimeError, ModelParams, DEGENERATE_ALPHA2
+from .states import ModelParams, _require_regular
 from .correlations import report
 
 __all__ = [
@@ -272,8 +272,6 @@ def _mode_pair(v_plus, v_minus):
 def _mode_pairs(params, nmax):
     """The (excited, plain) cat pairs of one parameter point; each coherent
     vector is built once and shared by both pairs."""
-    if params.is_degenerate:
-        raise LimitRegimeError(f"odd-parity state degenerates for |alpha|^2 < {DEGENERATE_ALPHA2}")
     if nmax is None:
         nmax = default_nmax(params.alpha2, params.m)
     alpha = math.sqrt(params.alpha2)
@@ -307,8 +305,9 @@ def _cat_projectors(points, nmax):
     computed once, so the two parities of a strength share them."""
     pairs, modes = {}, []
     for params in points:
+        _require_regular(params.alpha2, params.k)
         key = (params.alpha2, params.m)
-        if params.is_degenerate or key not in pairs:
+        if key not in pairs:
             pairs[key] = _mode_pairs(params, nmax)
         excited, plain = pairs[key]
         modes.append((excited, plain, plain))
@@ -514,9 +513,12 @@ class VerificationRecord:
     def max_abs_deviation(self):
         return max(abs(v) for v in self.deviations.values())
 
-    def worst(self):
-        """(field, signed deviation) with the largest bound-relative excess."""
-        name = max(self.deviations, key=lambda f: abs(self.deviations[f]) / self.bounds[f])
+    def worst(self, bound_override=None):
+        """(field, signed deviation) furthest beyond its bound, relative to the
+        bound, under the bounds `passes` applies (under one override bound,
+        which may be 0, the largest deviation); a nan deviation comes first."""
+        scale = self.bounds if bound_override is None else dict.fromkeys(self.bounds, 1.0)
+        name = max(self.deviations, key=lambda f: (math.isnan(self.deviations[f]), abs(self.deviations[f]) / scale[f]))
         return name, self.deviations[name]
 
     def passes(self, bound_override=None):

@@ -7,7 +7,7 @@ densities rho_12 = rho_13 and rho_23 of the three-mode superposition are
 X-shaped; this module builds them from the cat amplitudes alone, as a check
 on the closed forms of :mod:`pacsqc.correlations` that shares none of their
 formulas.  It also holds the parameter point `ModelParams` that every layer
-takes.
+takes, with the parity check and the degenerate-point rule they all share.
 
 Conventions: the qubit basis is ordered |00>, |01>, |10>, |11> with the
 lower-numbered mode as the left tensor factor, all cat amplitudes are real
@@ -56,8 +56,7 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "alpha2", _check_alpha2(self.alpha2))
         object.__setattr__(self, "m", _check_order(self.m))
-        if self.k not in (0, 1):
-            raise ValueError(f"parity flag k must be 0 (even) or 1 (odd), got {self.k!r}")
+        object.__setattr__(self, "k", _check_parity(self.k))
 
     @property
     def p(self):
@@ -77,11 +76,22 @@ class ModelParams:
     @property
     def is_degenerate(self):
         """True on the odd-parity degenerate point alpha2 < DEGENERATE_ALPHA2."""
-        return self.k == 1 and self.alpha2 < DEGENERATE_ALPHA2
+        return _degenerate(self.alpha2, self.k)
 
 
-def _require_regular(params):
-    if params.is_degenerate:
+def _check_parity(k):
+    if k not in (0, 1):
+        raise ValueError(f"parity flag k must be 0 (even) or 1 (odd), got {k!r}")
+    return int(k)
+
+
+def _degenerate(alpha2, k):
+    # the degenerate point, at a checked float alpha2 or elementwise an array
+    return (k == 1) & (alpha2 < DEGENERATE_ALPHA2)
+
+
+def _require_regular(alpha2, k):
+    if np.any(_degenerate(alpha2, k)):
         raise LimitRegimeError(
             "odd-parity state degenerates for |alpha|^2 < "
             f"{DEGENERATE_ALPHA2}; use the analytic small-amplitude limits "
@@ -148,9 +158,16 @@ class XStateDensity:
         return float(sum(lam * lam for lam in self.eigenvalues()))
 
 
-def _ghz_scale(params, km):
-    # 2 C_k^2 = 1 / (1 + kappa_m e^{-6 |alpha|^2} cos(k pi))
-    return 2.0 / (2.0 + 2.0 * km * math.exp(-6.0 * params.alpha2) * params.sign)
+def _ghz_reduction(params, left, right, traced):
+    # X-shaped reduction of the GHZ-type state to two modes, from the phase-flip
+    # overlaps of those modes and of the traced-out one (parity weights 1 +- traced
+    # cos k pi), divided by its own trace, the GHZ norm, so it stays 1 where that cancels
+    _require_regular(params.alpha2, params.k)
+    amp = np.outer(_cat_amplitudes(left), _cat_amplitudes(right)).ravel()  # on |00>, |01>, |10>, |11>
+    w = 1.0 + np.array([1.0, -1.0, -1.0, 1.0]) * (traced * params.sign)
+    diag = amp * amp * w
+    trace = diag.sum()
+    return XStateDensity(diag / trace, amp[0] * amp[3] * w[0] / trace, amp[1] * amp[2] * w[1] / trace)
 
 
 def ghz_rho12(params):
@@ -161,19 +178,7 @@ def ghz_rho12(params):
     (1 ± e^{-2|alpha|^2})/2 and rescaled into the encoded product basis,
     which is where the X shape appears.
     """
-    _require_regular(params)
-    km = params.kappa_m
-    cm_plus, cm_minus = _cat_amplitudes(km * params.p)
-    c_plus, c_minus = _cat_amplitudes(params.p)
-    scale = _ghz_scale(params, km)
-    w_plus = 1.0 + params.p * params.sign
-    w_minus = 1.0 - params.p * params.sign
-    aa = cm_plus * c_plus
-    bb = cm_plus * c_minus
-    cc = cm_minus * c_plus
-    dd = cm_minus * c_minus
-    diag = scale * np.array([aa * aa * w_plus, bb * bb * w_minus, cc * cc * w_minus, dd * dd * w_plus])
-    return XStateDensity(diag, scale * aa * dd * w_plus, scale * bb * cc * w_minus)
+    return _ghz_reduction(params, params.kappa_m * params.p, params.p, params.p)
 
 
 def ghz_rho23(params):
@@ -183,15 +188,4 @@ def ghz_rho23(params):
     pair, with the mixing weights (1 ± kappa_m e^{-2|alpha|^2})/2 carrying
     the excitation order; for m = 0 the two reductions coincide entrywise.
     """
-    _require_regular(params)
-    km = params.kappa_m
-    c_plus, c_minus = _cat_amplitudes(params.p)
-    scale = _ghz_scale(params, km)
-    q = km * params.p
-    w_plus = 1.0 + q * params.sign
-    w_minus = 1.0 - q * params.sign
-    aa = c_plus * c_plus
-    bb = c_plus * c_minus
-    dd = c_minus * c_minus
-    diag = scale * np.array([aa * aa * w_plus, bb * bb * w_minus, bb * bb * w_minus, dd * dd * w_plus])
-    return XStateDensity(diag, scale * aa * dd * w_plus, scale * bb * bb * w_minus)
+    return _ghz_reduction(params, params.p, params.p, params.kappa_m * params.p)

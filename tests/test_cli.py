@@ -270,6 +270,23 @@ class TestVerifyCommand:
         )
         assert code == EXIT_VERIFY
 
+    @pytest.mark.parametrize("tolerance", ["5e-15", "0"])
+    def test_fail_lines_name_the_deviation_over_tolerance(self, tmp_path, capsys, tolerance):
+        # every field is held to the --tolerance bound, so the field a FAIL
+        # line names is the row's largest deviation, beyond that bound
+        out = tmp_path / "verify.csv"
+        code = main(["verify", "--start", "0.5", "--stop", "3", "--steps", "6", "--m", "0", "1", "--k", "0", "1",
+                     "--tolerance", tolerance, "--out", str(out)])
+        fails = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL")]
+        assert code == EXIT_VERIFY and fails
+        rows = {f"alpha2={float(r['alpha2']):.6g} m={r['m']} k={r['k']}": r for r in read_rows(out)}
+        for line in fails:
+            point, rest = line[len("FAIL "):].split(": ")
+            name = rest.split(" deviates by ")[0]
+            row = rows[point]
+            assert f"{abs(float(row['dev_' + name])):.3e}" == f"{float(row['max_abs_deviation']):.3e}"
+            assert abs(float(row["dev_" + name])) > float(tolerance)
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "-1e-300"])
     def test_invalid_tolerance_is_usage_error(self, tmp_path, capsys, tolerance):
         out = tmp_path / "verify.csv"

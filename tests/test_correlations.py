@@ -415,6 +415,11 @@ class TestPeakLocator:
         peaks = [discord_12_peak(m, 0)[0] for m in range(4)]
         assert all(b < a for a, b in zip(peaks, peaks[1:]))
 
+    @pytest.mark.parametrize("lo, hi", [(4.0, 0.01), (0.5, 0.5)])
+    def test_empty_bracket_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match=f"lo={lo!r}, hi={hi!r}"):
+            discord_12_peak(2, 0, lo=lo, hi=hi)
+
 
 def threshold_scan_grid():
     # the log grid `violation_threshold` scans
@@ -441,6 +446,13 @@ class TestClosedForms:
         reports = [report(ModelParams(a, m, k)) for a in grid]
         for name in QUANTITIES:
             assert fields[name].tolist() == [getattr(rep, name) for rep in reports], name
+        if k == 1:
+            # the finders' field on a grid that straddles the degenerate switch
+            grid = peak_scan_grid(lo=0.0, hi=4.0 * DEGENERATE_ALPHA2)
+            reports = [report(ModelParams(a, m, k)) for a in grid]
+            for name in W_LIMIT_FIELDS:
+                scanned = correlations._field(m, k, QUANTITIES.index(name), np.array(grid)).tolist()
+                assert scanned == [getattr(rep, name) for rep in reports], name
 
     def test_float_call_equals_report(self):
         for params in GRID[::7]:
@@ -453,6 +465,9 @@ class TestClosedForms:
             closed_forms(0.0, 0, 1)
         # even parity has no degenerate point
         assert closed_forms(np.array([0.0, 0.5]), 2, 0)["D12"][0] == 0.0
+        # nor has an empty grid
+        fields = closed_forms(np.array([]), 2, 1)
+        assert list(fields) == list(QUANTITIES) and all(v.shape == (0,) for v in fields.values())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.25])
     def test_invalid_strength_raises_as_float_call(self, bad):

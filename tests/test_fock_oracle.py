@@ -243,6 +243,16 @@ class TestPartialTrace:
         reduced = partial_trace(build_tripartite(params), (1, 2))
         assert_allclose(reduced.data, ghz_rho23(params).to_matrix(), atol=1e-8)
 
+    @pytest.mark.parametrize("alpha2", [1e-8, 1e-7, 1e-6])
+    def test_weak_odd_strengths_match_states(self, alpha2):
+        # the GHZ norm 1 - kappa_m e^{-6|alpha|^2} cancels here; the X states
+        # keep unit trace because they are normalized by their own entries
+        for m in (0, 1, 2, 5):
+            params = ModelParams(alpha2, m, 1)
+            rho = build_tripartite(params)
+            assert_allclose(partial_trace(rho, (0, 1)).data, ghz_rho12(params).to_matrix(), atol=1e-8)
+            assert_allclose(partial_trace(rho, (1, 2)).data, ghz_rho23(params).to_matrix(), atol=1e-8)
+
     def test_rho13_equals_rho12(self):
         params = ModelParams(0.7, 2, 0)
         rho = build_tripartite(params)
@@ -498,6 +508,10 @@ class TestVerify:
         name, dev = record.worst()
         assert name in record.deviations
         assert record.deviations[name] == dev
+        # under one override bound, as `passes` applies it, the largest deviation is the worst
+        for override in (1e-18, 0.0):
+            name, dev = record.worst(override)
+            assert abs(dev) == record.max_abs_deviation
         assert record.max_abs_deviation == max(abs(v) for v in record.deviations.values())
 
     def test_grid_entry_point_matches_single_points(self):
@@ -512,6 +526,9 @@ class TestVerify:
         broken = VerificationRecord(record.params, dict(record.deviations, D12=math.nan), record.bounds)
         assert not broken.passes()
         assert not broken.passes(bound_override=1.0)
+        for override in (None, 1.0):
+            name, dev = broken.worst(override)
+            assert name == "D12" and math.isnan(dev)
 
     def test_grid_drops_repeated_orders_and_parities(self):
         assert verification_grid(0.5, 1.0, 2, (2, 0, 2), (1, 1)) == verification_grid(0.5, 1.0, 2, (0, 2), (1,))

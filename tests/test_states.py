@@ -38,6 +38,8 @@ class TestModelParams:
         assert params.p == pytest.approx(math.exp(-1.0))
         assert params.sign == -1
         assert ModelParams(0.5).sign == 1
+        # the parity flag is normalized to an int, as the order is
+        assert type(ModelParams(0.5, 1, True).k) is int and ModelParams(0.5, 1, True).k == 1
 
     def test_degenerate_flag(self):
         assert ModelParams(1e-9, 0, 1).is_degenerate
