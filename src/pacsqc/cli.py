@@ -205,6 +205,8 @@ def _cmd_verify(args):
     if args.nmax_override is not None and args.nmax_override < 0:
         raise UsageError(f"Fock cutoff nmax must be a non-negative integer, got {args.nmax_override}")
     points = fock_oracle.verification_grid(args.start, args.stop, args.steps, tuple(args.m), tuple(args.k))
+    # before --out is opened: a point the oracle cannot build is a usage error
+    fock_oracle._require_cat_pairs(points)
     field_names = list(fock_oracle.FIELD_BOUNDS)
     header = ["alpha2", "p", "m", "k"] + [f"dev_{name}" for name in field_names] + ["max_abs_deviation"]
     failed = []

@@ -139,7 +139,7 @@ def w_limit_report(m, k=1):
     D23 with the mirrored entropy terms and sqrt(m^2+2m+5),
     D1|23 = E1|23 -> H(2/(m+3)), and Delta123 = D1|23 - 2 D12.
     """
-    if k % 2 != 1:
+    if _check_parity(k) != 1:
         raise ValueError("analytic small-amplitude limits exist only for odd parity (k = 1)")
     n = float(m) + 3.0
     h = binary_entropy

@@ -11,19 +11,23 @@ primitive is the binary entropy.
 Per mode, the pair {|alpha,m>, |-alpha,m>} is orthonormalized from its
 Fock-space overlaps into the even/odd cat basis of the closed forms, so
 reduced densities can be compared entrywise.  The kernels work on stacks:
-`verify_points` holds the cat-basis vectors of all its points in one array
-and takes every reduction, spectrum, concurrence and discord from a few
-stacked calls, validating each stack of densities once; the one-object
-functions run the same kernels on a stack of one.  The discord minimizer
-works on the real Bloch form (r, s, T) of each 4x4 density, where the
-conditional entropy depends on the direction n only through n.r, n.(T s)
-and n^T T T^T n: a 32x32 (theta, phi) grid pass, then zoom stencil rounds
-that keep their step while the best point lies on the stencil's outer ring
-and stop each density at a step of about sqrt(eps).
+`verify_points` builds the coherent amplitudes of all its points as the
+rows of one (points, nmax + 1) array, adds photons to every row in one lift
+by sqrt(n!/(n - m)!), checks each row against its own cutoff, and takes
+every reduction, spectrum, concurrence and discord from a few stacked
+calls, validating each stack of densities once; the one-object functions,
+`coherent_vector` and `add_photons` included, run the same kernels on a
+stack of one.  The discord minimizer works on the real Bloch form
+(r, s, T) of each 4x4 density, where the conditional entropy depends on the
+direction n only through n.r, n.(T s) and n^T T T^T n: a 32x32
+(theta, phi) grid pass finds each basin, Newton steps with a closed-form
+chart gradient and Hessian refine it, and 9x9 zoom-stencil rounds are the
+safeguard for a density Newton cannot finish.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,21 +103,72 @@ def inner(bra, ket):
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
+def _check_cutoff(nmax):
+    if nmax != int(nmax) or nmax < 0:
+        raise ValueError(f"Fock cutoff nmax must be a non-negative integer, got {nmax!r}")
+
+
+def _row_sums(values):
+    # left-to-right sums along each row: trailing zeros and the other rows
+    # of a stack leave every row's sum bit for bit as it is alone
+    return np.cumsum(values, axis=1)[:, -1]
+
+
+def _coherent_rows(alpha, cutoffs):
+    """Coherent amplitudes e^{-alpha^2/2} alpha^n / sqrt(n!) of each real
+    alpha[i] for n = 0..cutoffs[i], as the rows of a (len(alpha),
+    max(cutoffs) + 1) array, zero past each row's cutoff; raises
+    TruncationError where a row's edge weight |a_cutoff|^2 exceeds
+    TAIL_BOUND."""
+    size = int(cutoffs.max()) + 1
+    factors = np.empty((len(alpha), size))
+    factors[:, 0] = np.exp(-0.5 * alpha * alpha)
+    factors[:, 1:] = alpha[:, None] / np.sqrt(np.arange(1.0, size))
+    amp = np.cumprod(factors, axis=1)
+    edge = amp[np.arange(len(alpha)), cutoffs] ** 2
+    if (edge > TAIL_BOUND).any():
+        i = np.argmax(edge > TAIL_BOUND)
+        raise TruncationError(f"nmax={cutoffs[i]} insufficient for alpha={alpha[i]}: edge weight {edge[i]:.3e}")
+    amp[np.arange(size) > cutoffs[:, None]] = 0.0
+    return amp
+
+
+def _add_photon_rows(amp, photons, cutoffs, normalize):
+    """Rows of ``amp`` (real or complex, zero past ``cutoffs``) with
+    photons[i] creation operators applied to row i, a+^m |n> =
+    sqrt((n + m)! / n!) |n + m>, in one lift by sqrt(n! / (n - m)!),
+    truncated at the row's cutoff; normalized to unit length with
+    ``normalize``.  Raises TruncationError where the lift pushes more than
+    TAIL_BOUND of a row's weight past its cutoff, or where a normalized
+    row keeps more than TAIL_BOUND at its cutoff."""
+    rows, (count, size), top = np.arange(len(amp)), amp.shape, int(photons.max())
+    n = np.arange(size + top)
+    # lift[m, n] = sqrt(n (n - 1) ... (n - m + 1)), and n reads amplitude
+    # n - m from the rows padded by `top` zeros on both sides
+    lift = np.ones((top + 1, n.size))
+    lift[1:] = np.cumprod(np.sqrt(np.maximum(n - np.arange(top)[:, None], 0)), axis=0)
+    padded = np.zeros((count, size + 2 * top), dtype=amp.dtype)
+    padded[:, top : top + size] = amp
+    lifted = lift[photons] * padded[rows[:, None], n + (top - photons)[:, None]]
+    weight = (lifted * lifted.conj()).real
+    kept = n <= cutoffs[:, None]
+    mass = np.cumsum(weight, axis=1)[rows, cutoffs]
+    if (_row_sums(np.where(kept, 0.0, weight)) > TAIL_BOUND * mass).any():
+        raise TruncationError("no truncation headroom left for another photon addition")
+    lifted = np.where(kept, lifted, 0.0)[:, :size]
+    if normalize:
+        # times the reciprocal, which a complex row takes as a real one does
+        lifted *= (1.0 / np.sqrt(mass))[:, None]
+        if (weight[rows, cutoffs] > TAIL_BOUND * mass).any():
+            raise TruncationError("state no longer fits the truncation after photon addition")
+    return lifted
+
+
 def coherent_vector(alpha, nmax):
     """Coherent state e^{-|alpha|^2/2} sum_n alpha^n / sqrt(n!) |n> truncated
     at nmax; raises TruncationError when the tail amplitude is not negligible."""
-    if nmax != int(nmax) or nmax < 0:
-        raise ValueError(f"Fock cutoff nmax must be a non-negative integer, got {nmax!r}")
-    alpha = float(alpha)
-    amp = np.zeros(nmax + 1, dtype=complex)
-    amp[0] = math.exp(-0.5 * alpha * alpha)
-    for n in range(1, nmax + 1):
-        amp[n] = amp[n - 1] * alpha / math.sqrt(n)
-    if abs(amp[nmax]) ** 2 > TAIL_BOUND:
-        raise TruncationError(
-            f"nmax={nmax} insufficient for alpha={alpha}: edge weight {abs(amp[nmax]) ** 2:.3e}"
-        )
-    return FockVector(amp)
+    _check_cutoff(nmax)
+    return FockVector(_coherent_rows(np.array([float(alpha)]), np.array([int(nmax)]))[0])
 
 
 def add_photons(vec, m, normalize=True):
@@ -125,21 +180,8 @@ def add_photons(vec, m, normalize=True):
     """
     if m != int(m) or m < 0:
         raise ValueError(f"photon count must be a non-negative integer, got {m!r}")
-    amp = np.array(vec.amplitudes, dtype=complex)
-    roots = np.sqrt(np.arange(1.0, amp.size))
-    for _ in range(int(m)):
-        # the edge amplitude is about to fall off the truncation; its share
-        # of the state's mass must be negligible
-        mass = float(np.vdot(amp, amp).real)
-        if abs(amp[-1]) ** 2 > TAIL_BOUND * mass:
-            raise TruncationError("no truncation headroom left for another photon addition")
-        amp[1:] = roots * amp[:-1]
-        amp[0] = 0.0
-    if normalize:
-        amp /= math.sqrt(float(np.vdot(amp, amp).real))
-        if abs(amp[-1]) ** 2 > TAIL_BOUND:
-            raise TruncationError("state no longer fits the truncation after photon addition")
-    return FockVector(amp)
+    amp = vec.amplitudes[None]
+    return FockVector(_add_photon_rows(amp, np.array([int(m)]), np.array([amp.shape[1] - 1]), normalize)[0])
 
 
 def _check_densities(data):
@@ -256,64 +298,70 @@ def wootters_concurrence(rho):
     return float(_concurrences(data[None])[0])
 
 
-def _mode_pair(v_plus, v_minus):
-    """Coordinates (c_plus, c_minus) of v_plus in the orthonormal (even, odd)
-    basis of the span of the pair; v_minus has (c_plus, -c_minus)."""
-    overlap = inner(v_plus, v_minus).real
-    even = v_plus.amplitudes + v_minus.amplitudes
-    odd = v_plus.amplitudes - v_minus.amplitudes
-    n_even = math.sqrt(float(np.vdot(even, even).real))
-    n_odd = math.sqrt(float(np.vdot(odd, odd).real))
-    if min(n_even, n_odd) < 1e-9:
-        raise ValueError("mode Gram matrix is numerically singular; the pair spans no qubit")
-    return math.sqrt(max(0.0, 0.5 * (1.0 + overlap))), math.sqrt(max(0.0, 0.5 * (1.0 - overlap)))
+def _require_cat_pairs(points):
+    """Refuse any point at which the oracle cannot build the cat basis: the
+    odd-parity degenerate regime (see states), and alpha2 below 2.5e-19,
+    where |alpha> - |-alpha>, of norm about 2|alpha| < 1e-9, leaves the
+    pair {|alpha>, |-alpha>} no odd vector to span a qubit with."""
+    for params in points:
+        _require_regular(params.alpha2, params.k)
+        if 4.0 * params.alpha2 < 1e-18:
+            raise ValueError(
+                f"the oracle has no cat basis at alpha2={params.alpha2!r} (m={params.m}, k={params.k}): "
+                "as alpha2 -> 0 the pair |alpha>, |-alpha> has no odd vector; use alpha2 >= 2.5e-19"
+            )
 
 
-def _mode_pairs(params, nmax):
-    """The (excited, plain) cat pairs of one parameter point; each coherent
-    vector is built once and shared by both pairs."""
+def _mode_pairs(points, nmax):
+    """Coordinates (c_plus, c_minus) of |alpha, m> and of |alpha> in the
+    orthonormal (even, odd) basis of their pairs {|alpha, m>, |-alpha, m>}
+    and {|alpha>, |-alpha>}, shape (P, 2, 2); the -alpha states have
+    (c_plus, -c_minus).  All 2P coherent vectors, truncated at ``nmax`` or
+    at each point's `default_nmax`, come from one stacked build, and each
+    pair's overlap <alpha|-alpha> from summing its amplitudes."""
+    alpha = (np.sqrt([params.alpha2 for params in points])[:, None] * [1.0, -1.0]).ravel()
+    photons = np.repeat([params.m for params in points], 2)
     if nmax is None:
-        nmax = default_nmax(params.alpha2, params.m)
-    alpha = math.sqrt(params.alpha2)
-    plus = coherent_vector(alpha, nmax)
-    minus = coherent_vector(-alpha, nmax)
-    return _mode_pair(add_photons(plus, params.m), add_photons(minus, params.m)), _mode_pair(plus, minus)
+        cutoffs = np.repeat([default_nmax(params.alpha2, params.m) for params in points], 2)
+    else:
+        cutoffs = np.full(len(alpha), int(nmax))
+    plain = _coherent_rows(alpha, cutoffs)
+    vectors = np.concatenate([_add_photon_rows(plain, photons, cutoffs, True), plain])
+    overlaps = _row_sums(vectors[0::2] * vectors[1::2]).reshape(2, len(points)).T
+    return np.sqrt(np.maximum(0.0, 0.5 + 0.5 * overlaps[:, :, None] * [1.0, -1.0]))
 
 
-def _superposition(signs, modes):
+def _superpositions(signs, modes):
     """Normalized weights of |alpha..> + sign |-alpha..> for a stack of
-    points: ``modes`` of shape (B, M, 2) holds each mode's (c_plus, c_minus)
-    ((c_plus, -c_minus) for -alpha), and row b of the (B, 2**M) result holds
-    point b's weights in the basis of the M modes' tensor product."""
-    modes = np.asarray(modes, dtype=float)
-    forward, backward = modes[:, 0], modes[:, 0] * [1.0, -1.0]
+    points, over the first 2, 3, ... of its modes: ``modes`` of shape
+    (B, M, 2) holds each mode's (c_plus, c_minus) ((c_plus, -c_minus) for
+    -alpha), and the j-th (B, 2**(j + 2)) array of the result holds each
+    point's weights in the basis of its first j + 2 modes' tensor product."""
+    modes, signs = np.asarray(modes, dtype=float), np.reshape(signs, (-1, 1))
+    forward, backward, weights = modes[:, 0], modes[:, 0] * [1.0, -1.0], []
     for coords in modes.transpose(1, 0, 2)[1:]:
         size = (len(modes), 2 * forward.shape[1])
         forward = (forward[:, :, None] * coords[:, None, :]).reshape(size)
         backward = (backward[:, :, None] * (coords * [1.0, -1.0])[:, None, :]).reshape(size)
-    raw = forward + np.reshape(signs, (-1, 1)) * backward
-    norm = np.sqrt(np.sum(raw * raw, axis=1, keepdims=True))
-    if not np.all(norm >= 1e-9):
-        raise ValueError("superposition vector vanishes at this parameter point")
-    return raw / norm
+        raw = forward + signs * backward
+        norm = np.sqrt(np.sum(raw * raw, axis=1, keepdims=True))
+        if not (norm >= 1e-9).all():
+            raise ValueError("superposition vector vanishes at this parameter point")
+        weights.append(raw / norm)
+    return weights
 
 
 def _cat_projectors(points, nmax):
     """Pure-state projectors of the GHZ-type state, shape (B, 8, 8), and of
     the quasi-Bell pair (excited mode 1 with a plain mode 2), (B, 4, 4), in
-    each point's cat basis.  The Fock-space overlaps of each (alpha2, m) are
-    computed once, so the two parities of a strength share them."""
-    pairs, modes = {}, []
-    for params in points:
-        _require_regular(params.alpha2, params.k)
-        key = (params.alpha2, params.m)
-        if key not in pairs:
-            pairs[key] = _mode_pairs(params, nmax)
-        excited, plain = pairs[key]
-        modes.append((excited, plain, plain))
-    modes, signs = np.array(modes).reshape(len(points), 3, 2), [params.sign for params in points]
-    vectors = _superposition(signs, modes), _superposition(signs, modes[:, :2])
-    return [v[:, :, None] * v[:, None, :] for v in vectors]
+    each point's cat basis: the pair is the GHZ superposition's first two
+    modes, so one pass over the modes gives both."""
+    _require_cat_pairs(points)
+    if nmax is not None:
+        _check_cutoff(nmax)
+    pairs, signs = _mode_pairs(points, nmax), [params.sign for params in points]
+    bell, ghz = _superpositions(signs, pairs[:, [0, 1, 1]])
+    return [v[:, :, None] * v[:, None, :] for v in (ghz, bell)]
 
 
 def build_tripartite(params, nmax=None):
@@ -330,18 +378,6 @@ def build_bell_pair(params, nmax=None):
 
 _THETA_POINTS = 32
 _PHI_POINTS = 32
-# Zoom refinement: each round evaluates a 9x9 stencil spanning +- the
-# density's (theta, phi) half-widths, which start at one grid step.  A round
-# whose best point improves on the centre from the outer ring `_EDGE` keeps
-# them, as the minimum may lie beyond the ring; every other round shrinks
-# them 4x.  A density stops once both are <= 1.5e-8 rad (about sqrt(eps): a
-# smooth minimum's value error, about H h^2, is then below eps) or after
-# _MAX_ROUNDS rounds (a narrow curved valley can take ~300).
-_STENCIL = np.arange(-4, 5) / 4.0
-_EDGE = ((np.abs(_STENCIL[:, None]) == 1.0) | (np.abs(_STENCIL) == 1.0)).ravel()
-_FIRST_HALF_WIDTHS = np.array([math.pi / (_THETA_POINTS - 1), 2.0 * math.pi / _PHI_POINTS])
-_STOP_HALF_WIDTH = 1.5e-8
-_MAX_ROUNDS = 500
 
 
 def _features(theta, phi):
@@ -360,6 +396,14 @@ def _features(theta, phi):
 # the rows theta < pi/2 are evaluated.
 _GRID_PHI = np.linspace(0.0, 2.0 * math.pi, _PHI_POINTS, endpoint=False)
 _GRID_FEATURES = _features(np.linspace(0.0, math.pi, _THETA_POINTS)[None, : _THETA_POINTS // 2], _GRID_PHI[None])[0]
+# The frame [n, phi-hat, n x phi-hat = -theta-hat] of each grid direction
+# n carries the chart point (pi/2, 0) onto n, with chart steps along
+# theta-hat and phi-hat; n = frame^T n' turns n.r into n'.(frame r) and
+# T^T n into (frame T)^T n'.
+_GRID_FRAMES = np.zeros((_GRID_FEATURES.shape[1], 3, 3))
+_GRID_FRAMES[:, 0] = _GRID_FEATURES[1:4].T
+_GRID_FRAMES[:, 1, :2] = np.tile(np.column_stack([-np.sin(_GRID_PHI), np.cos(_GRID_PHI)]), (_THETA_POINTS // 2, 1))
+_GRID_FRAMES[:, 2] = np.cross(_GRID_FRAMES[:, 0], _GRID_FRAMES[:, 1])
 # Densities per grid-pass chunk (results do not depend on it): the largest
 # temporaries, the (16, 3, 512) product and the two outcomes, hold 192 KB and
 # 128 KB.  On the default verify grid's 800 densities, chunks of 4, 8, 16, 32
@@ -398,19 +442,198 @@ def _conditional_entropy(abu):
     return total[0] + total[1]
 
 
+# Newton refinement, in the chart of each density whose point (pi/2, 0) is
+# its grid minimum.  The direction n(theta, phi) and its chart derivatives
+# (n, n_t, n_p, n_tt, n_tp, n_pp) are linear in the six products
+# q = (sin t, cos t) x (cos p, sin p, 1); each triple below lists one
+# derivative's components as signed 1-based indices into q (0 for zero).
+_CHART = np.zeros((6, 18))
+for _column, _term in enumerate(np.ravel([(1, 2, 6), (4, 5, -3), (-2, 1, 0), (-1, -2, -6), (-5, 4, 0), (-1, -2, 0)])):
+    if _term:
+        _CHART[abs(_term) - 1, _column] = math.copysign(1.0, _term)
+# sin(x @ _TRIG_SELECT + _TRIG_SHIFT) = (sin t, cos t, cos p, sin p, 1)
+_TRIG_SELECT = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 0.0]])
+_TRIG_SHIFT = np.array([0.0, 0.5 * math.pi, 0.5 * math.pi, 0.0, 0.5 * math.pi])
+# With Q[i, j] = (T^T n_i).(T^T n_j) (n_0 = n, n_1 = n_t, ...), the chart
+# derivatives of u = |s|^2 + |T^T n|^2 are u_t = 2 Q10, u_p = 2 Q20,
+# u_tt = 2 (Q30 + Q11), u_tp = 2 (Q40 + Q12) and u_pp = 2 (Q50 + Q22);
+# rows index Q row-major.
+_QUADRATIC = np.zeros((18, 5))
+_QUADRATIC[[3, 6, 9, 4, 12, 5, 15, 8], [0, 1, 2, 2, 3, 3, 4, 4]] = 2.0
+# (n_i.r/2, 2 n_i.(T s), u_i) -> the derivatives of (p+, w+, p-, w-): the
+# outcome weights p = (1 +- n.r)/2 and w = 4 v^2 = u +- 2 n.(T s), v the
+# length of the conditional Bloch vector (s +- T^T n)/2
+_MIX = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0], [0.0, 1.0, 0.0, 1.0]])
+_OUTCOME_SIGNS = np.array([[1.0], [-1.0]])
+# Newton's closed forms hold while the smaller conditional eigenvalue
+# lam- = (p - v)/2 stays above _LAMBDA_FLOOR (x log x is not smooth at 0)
+# and v above _RATIO_FLOOR p (v = sqrt(w)/2 is not smooth at 0: the chain
+# rule divides by v, and the gradient's rounding grows like eps p/v, to
+# ~1e-9 at the floor).  (p, v) @ _SPECTRUM = (p, lam+, lam-, v - _RATIO_FLOOR p).
+#
+# Stack independence: a 2-D product with a constant map, whose rows are the
+# stack, takes a kernel that depends on the stack size, so those maps
+# (_CHART, _TRIG_SELECT, _QUADRATIC, _BLOCK, _SYMMETRIC, _ADJUGATE) are
+# exact or round once; every other product is batched, which numpy takes
+# one density at a time.
+_LAMBDA_FLOOR = 1e-30
+_RATIO_FLOOR = 2.0 ** -20
+_SPECTRUM = np.array([[1.0, 0.5, 0.5, -_RATIO_FLOOR], [0.0, 0.5, -0.5, 1.0]])
+_FLOORS = np.array([_LAMBDA_FLOOR, 0.0])
+_SAFE_SPECTRUM = np.array([1.0, 0.75, 0.25])
+# (log2 lam, 1/(lam ln 2)) -> the derivatives (f_p, f_v, f_pp, f_pv, f_vv)
+# of f = p log2 p - lam+ log2 lam+ - lam- log2 lam- in p and v (x log2 x
+# has slope log2 x + 1/ln 2 and curvature 1/(x ln 2))
+_PARTIALS = np.zeros((6, 5))
+_PARTIALS[:3, :2] = [[1.0, 0.0], [-0.5, -0.5], [-0.5, 0.5]]
+_PARTIALS[3:, 2:] = [[1.0, 0.0, 0.0], [-0.25, -0.25, -0.25], [-0.25, 0.25, -0.25]]
+_INVERSE_LN2 = 1.0 / math.log(2.0)
+_W_POWERS = np.array([0, 1, 0, 1, 2])
+# (f_pp, f_pw, f_ww) of both outcomes -> the block-diagonal (B, 4, 4) outer
+# Hessian in (p+, w+, p-, w-); rows of Hessian entries (t t, t p, p t, p p)
+# from the second-derivative terms; the adjugate of a flattened 2x2 matrix
+_BLOCK = np.zeros((6, 16))
+_BLOCK[[0, 1, 1, 2, 3, 4, 4, 5], [0, 1, 4, 5, 10, 11, 14, 15]] = 1.0
+_SYMMETRIC = np.zeros((5, 4))
+_SYMMETRIC[[2, 3, 3, 4], [0, 1, 2, 3]] = 1.0
+_ADJUGATE = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+# A density stops once the predicted decrease of a Newton step is below
+# eps (in bits, the conditional entropy being at most 1): the step could no
+# longer move the value.  A step that does not lower the value is a stop
+# too when it predicted at most _STALL, rounding's reach, and otherwise a
+# fall back to the stencil; so is a density still moving after _NEWTON_CAP
+# iterations (verify-grid densities take 2-8, seeded random ones 0-6).
+_EPS = 2.0 ** -52
+_STALL = 16.0 * _EPS
+_NEWTON_CAP = 30
+
+
+def _newton_terms(frame, s, x):
+    """Newton data at the chart points x = (theta, phi) (B, 2), for the
+    chart-frame Bloch data ``frame`` = [r/2, 2 T s, T] (B, 3, 5) and ``s``
+    (B, 3): the conditional entropy, its chart gradient, the Newton step
+    -H^-1 g with its predicted decrease g^T H^-1 g / 2, and whether the step
+    is usable: the closed forms hold (see _LAMBDA_FLOOR) and the Hessian H
+    is positive definite.  Where it is not, step and decrease are finite
+    but meaningless; where the closed forms fail, the gradient is nan (the
+    value holds everywhere, with 0 log 0 = 0).
+
+    The entropy depends on n only through n.r, n.(T s) and n^T T T^T n,
+    so one product of the chart derivatives of n with the frame gives the
+    chart derivatives of the outcome weights p and of w = 4 v^2, and the
+    chain rule through x log2 x does the rest.
+    """
+    count = len(x)
+    trig = np.sin(x @ _TRIG_SELECT + _TRIG_SHIFT)
+    n = ((trig[:, :2, None] * trig[:, None, 2:]).reshape(count, 6) @ _CHART).reshape(count, 6, 3)
+    linear = n @ frame
+    turned = linear[:, :, 2:]
+    quadratic = (turned @ turned[:, :3].transpose(0, 2, 1)).reshape(count, 18) @ _QUADRATIC
+    # rows d_t, d_p, d_tt, d_tp, d_pp; columns p+, w+, p-, w-
+    terms = np.concatenate([linear[:, 1:, :2], quadratic[:, :, None]], axis=2) @ _MIX
+    # v from the conditional Bloch vectors themselves, whose length keeps
+    # the digits that u +- 2 n.(T s) cancels away
+    bloch = s[:, None, :] + _OUTCOME_SIGNS * turned[:, :1]
+    pv = np.empty((count, 2, 2))
+    pv[:, :, 0] = 0.5 + _OUTCOME_SIGNS[:, 0] * linear[:, 0, :1]
+    pv[:, :, 1] = 0.5 * np.sqrt((bloch * bloch).sum(axis=2))
+    spectrum = pv @ _SPECTRUM
+    entropy = _xlog2x(spectrum[:, :, :3])
+    value = (entropy[:, :, 0] - entropy[:, :, 1] - entropy[:, :, 2]).sum(axis=1)
+    valid = (spectrum[:, :, 2:] > _FLOORS).all(axis=(1, 2))
+    lam = np.where(valid[:, None, None], spectrum[:, :, :3], _SAFE_SPECTRUM)
+    logs = np.log2(lam)
+    # per outcome (f_p, f_v, f_pp, f_pv, f_vv), then in w = 4 v^2 with
+    # e = 1/(8 v): f_w = f_v e, f_pw = f_pv e, f_ww = (f_vv - 8 f_v e) e^2
+    partial = np.concatenate([logs, _INVERSE_LN2 / lam], axis=2) @ _PARTIALS
+    e = 0.125 / (lam[:, :, 1:2] - lam[:, :, 2:])
+    partial *= e ** _W_POWERS
+    partial[:, :, 4:] -= 8.0 * partial[:, :, 1:2] * e * e
+    # gradient and Hessian by the chain rule through (p+, w+, p-, w-)
+    linear_part = (terms.reshape(count, 5, 4) @ partial[:, :, :2].reshape(count, 4, 1))[:, :, 0]
+    slopes = terms[:, :2]
+    block = (partial[:, :, 2:].reshape(count, 6) @ _BLOCK).reshape(count, 4, 4)
+    hessian = slopes @ block @ slopes.transpose(0, 2, 1) + (linear_part @ _SYMMETRIC).reshape(count, 2, 2)
+    gradient = linear_part[:, :2]
+    det = hessian[:, 0, 0] * hessian[:, 1, 1] - hessian[:, 0, 1] * hessian[:, 1, 0]
+    usable = valid & (hessian[:, 0, 0] > 0.0) & (det > 0.0)
+    step = ((hessian.reshape(count, 4) @ _ADJUGATE).reshape(count, 2, 2) @ gradient[:, :, None])[:, :, 0]
+    step /= -np.where(usable, det, 1.0)[:, None]
+    decrease = -0.5 * (gradient * step).sum(axis=1)
+    return value, np.where(valid[:, None], gradient, np.nan), step, decrease, usable
+
+
+# Stencil safeguard, for the densities Newton leaves: each round evaluates a
+# 9x9 stencil spanning +- the density's (theta, phi) half-widths, which
+# start at one grid step.  A round whose best point improves on the centre
+# from the outer ring `_EDGE` keeps them, as the minimum may lie beyond the
+# ring; every other round shrinks them 4x.  A density stops once both are
+# <= 1.5e-8 rad (about sqrt(eps): a smooth minimum's value error, about
+# H h^2, is then below eps) or after _MAX_ROUNDS rounds (a narrow curved
+# valley can take ~300).
+_STENCIL = np.arange(-4, 5) / 4.0
+_EDGE = ((np.abs(_STENCIL[:, None]) == 1.0) | (np.abs(_STENCIL) == 1.0)).ravel()
+_FIRST_HALF_WIDTHS = np.array([math.pi / (_THETA_POINTS - 1), 2.0 * math.pi / _PHI_POINTS])
+_STOP_HALF_WIDTH = 1.5e-8
+_MAX_ROUNDS = 500
+
+
+def _stencil_rounds(local, centre, least):
+    """Zoom the stencil from the chart points ``centre`` (B, 2) with values
+    ``least`` for the (B, 3, 10) feature maps ``local``; returns the new
+    values and centres, the rounds taken and whether a density stopped on
+    _MAX_ROUNDS.  A centre moves only when its stencil improves on it."""
+    rows, live = np.arange(len(local)), np.ones(len(local), dtype=bool)
+    half, rounds = np.tile(_FIRST_HALF_WIDTHS, (len(local), 1)), np.zeros(len(local), dtype=int)
+    for _ in range(_MAX_ROUNDS):
+        grid = centre[:, :, None] + half[:, :, None] * _STENCIL
+        values = _conditional_entropy(np.matmul(local, _features(grid[:, 0], grid[:, 1])))
+        pick = np.argmin(values, axis=1)
+        low = values[rows, pick]
+        better = live & (low < least)
+        least = np.where(better, low, least)
+        i, j = np.divmod(pick, _STENCIL.size)
+        centre = np.where(better[:, None], np.column_stack([grid[rows, 0, i], grid[rows, 1, j]]), centre)
+        half = half * np.where(better & _EDGE[pick], 1.0, np.where(live, 0.25, 1.0))[:, None]
+        rounds += live
+        live &= np.max(half, axis=1) > _STOP_HALF_WIDTH
+        if not live.any():
+            break
+    return least, centre, rounds, live
+
+
+# How a density's refinement ended (`_Minima.flag`)
+_NEWTON, _STENCIL_FALLBACK, _CAPPED = 0, 1, 2
+
+
+class _Minima(NamedTuple):
+    """Per-density results of `_min_conditional_entropy`: the minimum, the
+    Newton iterations plus stencil rounds taken, the tangent-gradient norm
+    at the landing point (nan where the closed forms do not hold there) and
+    how the refinement ended: _NEWTON, _STENCIL_FALLBACK (fell back to the
+    stencil safeguard) or _CAPPED (the stencil stopped on _MAX_ROUNDS)."""
+
+    value: np.ndarray
+    iterations: np.ndarray
+    gradient_norm: np.ndarray
+    flag: np.ndarray
+
+
 def _min_conditional_entropy(corr):
     """Minimum conditional entropy over measurement directions for each
     density of the (B, 4, 4) stack ``corr`` of Pauli correlation matrices
-    (measured qubit first, see `_bloch`); np.matmul takes every product per
-    density, so no result depends on the rest of the stack.
+    (measured qubit first, see `_bloch`), as `_Minima`.  Every product is
+    taken per density and every update is masked per density, so no result
+    depends on the rest of the stack.
 
-    Each grid minimum is rotated onto the equator of a local chart, so that
-    no stencil has to work across a chart pole, where phi steps shrink to
-    nothing and a minimum a little off the pole is out of reach.  The zoom
-    rounds run in those charts on the densities not yet finished (``index``
-    holds their rows), so none depends on how long its stack-mates take; a
-    centre moves only when its stencil improves on it, so the result never
-    exceeds the grid minimum.
+    A 32x32 grid pass finds each density's basin, and its minimum is
+    rotated onto the equator of a local chart, away from the chart poles,
+    where phi steps shrink to nothing.  Newton steps in that chart follow
+    (`_newton_terms`); a density whose Hessian is not positive definite,
+    whose step does not lower the value, whose closed forms fail or which
+    is still moving after _NEWTON_CAP iterations falls back to stencil
+    rounds from its best point.  Only steps that lower the value move a
+    density, so no result exceeds the grid minimum.
     """
     coeffs, rows = _coefficients(corr), np.arange(len(corr))
     pick, best = np.empty(len(corr), dtype=int), np.empty(len(corr))
@@ -419,31 +642,43 @@ def _min_conditional_entropy(corr):
         values = _conditional_entropy(np.matmul(coeffs[chunk], _GRID_FEATURES))
         pick[chunk] = np.argmin(values, axis=1)
         best[chunk] = values[rows[: len(values)], pick[chunk]]
-    # frame = [n, phi-hat, n x phi-hat = -theta-hat] carries the chart point
-    # (pi/2, 0) onto n, with chart steps along theta-hat and phi-hat;
-    # n = frame n' turns n.r into n'.(frame^T r) and T^T n into (frame^T T)^T n'
-    n, phi = _GRID_FEATURES[1:4, pick].T, _GRID_PHI[pick % _PHI_POINTS]
-    phi_hat = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros(len(phi))])
     rotated = corr.copy()
-    rotated[:, 1:] = np.stack([n, phi_hat, np.cross(n, phi_hat)], axis=1) @ corr[:, 1:]
-    local, centre = _coefficients(rotated), np.tile([0.5 * math.pi, 0.0], (len(corr), 1))
-    half, index, least = np.tile(_FIRST_HALF_WIDTHS, (len(corr), 1)), rows, best.copy()
-    for _ in range(_MAX_ROUNDS):
-        grid = centre[:, :, None] + half[:, :, None] * _STENCIL
-        values = _conditional_entropy(np.matmul(local, _features(grid[:, 0], grid[:, 1])))
-        pick, here = np.argmin(values, axis=1), rows[: len(index)]
-        low = values[here, pick]
-        better = low < least
-        least = np.where(better, low, least)
-        i, j = np.divmod(pick, _STENCIL.size)
-        centre = np.where(better[:, None], np.column_stack([grid[here, 0, i], grid[here, 1, j]]), centre)
-        half = half * np.where(better & _EDGE[pick], 1.0, 0.25)[:, None]
-        best[index], going = least, np.max(half, axis=1) > _STOP_HALF_WIDTH
-        if not going.all():
-            index, least, centre, half, local = index[going], least[going], centre[going], half[going], local[going]
-            if not index.size:
-                break
-    return best
+    rotated[:, 1:] = _GRID_FRAMES[pick] @ corr[:, 1:]
+    r, s, tensor = rotated[:, 1:, :1], rotated[:, :1, 1:], rotated[:, 1:, 1:]
+    frame = np.concatenate([0.5 * r, 2.0 * (tensor @ s.transpose(0, 2, 1)), tensor], axis=2)
+    s = s[:, 0]
+
+    point = np.tile([0.5 * math.pi, 0.0], (len(corr), 1))
+    value, gradient, step, decrease, usable = _newton_terms(frame, s, point)
+    live, fallback = np.ones(len(corr), dtype=bool), np.zeros(len(corr), dtype=bool)
+    iterations = np.zeros(len(corr), dtype=int)
+    for _ in range(_NEWTON_CAP):
+        fallback |= live & ~usable
+        live &= usable & (decrease > _EPS)
+        if not live.any():
+            break
+        trial = point + np.where(live[:, None], step, 0.0)
+        t_value, t_gradient, t_step, t_decrease, t_usable = _newton_terms(frame, s, trial)
+        iterations += live
+        lower = live & (t_value < value)
+        fallback |= live & ~lower & (decrease > _STALL)
+        live = lower
+        moved = lower[:, None]
+        point, gradient = np.where(moved, trial, point), np.where(moved, t_gradient, gradient)
+        step, value = np.where(moved, t_step, step), np.where(lower, t_value, value)
+        decrease, usable = np.where(lower, t_decrease, decrease), np.where(lower, t_usable, usable)
+    else:
+        fallback |= live
+    flag = np.where(fallback, _STENCIL_FALLBACK, _NEWTON)
+    if fallback.any():
+        index = np.flatnonzero(fallback)
+        least, centre, rounds, capped = _stencil_rounds(_coefficients(rotated[index]), point[index], value[index])
+        value[index], point[index] = least, centre
+        iterations[index] += rounds
+        flag[index[capped]] = _CAPPED
+        gradient[index] = _newton_terms(frame[index], s[index], centre)[1]
+    norm = np.hypot(gradient[:, 0], gradient[:, 1] / np.sin(point[:, 0]))
+    return _Minima(np.minimum(value, best), iterations, norm, flag)
 
 
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -466,10 +701,13 @@ def discord_numeric(rho, measured=0):
 
     ``rho`` is one two-qubit DensityMatrix, giving a float, or a sequence of
     them, giving a list of floats from one stacked minimization.  The
-    conditional entropy is minimized on a 32x32 (theta, phi) grid, refined
-    by 9x9 stencil rounds that keep their half-widths when the best point
-    lies on the outer ring, shrink them 4x otherwise and stop at 1.5e-8 rad
-    (about sqrt(eps)); the result is S_measured - S_joint + that minimum.
+    conditional entropy is minimized on a 32x32 (theta, phi) grid, then by
+    Newton steps from the grid minimum until a step could no longer move
+    the value (about eps); a density whose Hessian is not positive definite,
+    whose step does not lower the value or whose conditional state has an
+    eigenvalue near 0 falls back to 9x9 stencil rounds that stop at 1.5e-8
+    rad.  The result is S_measured - S_joint + that minimum, never above the
+    grid's.
     """
     single = isinstance(rho, DensityMatrix)
     densities = [rho] if single else list(rho)
@@ -480,7 +718,7 @@ def discord_numeric(rho, measured=0):
     data = np.array([density.data for density in densities]).reshape(len(densities), 4, 4)
     s_measured = _entropies(np.linalg.eigvalsh(_partial_trace(data, (2, 2), (measured,))))
     base = s_measured - _entropies(np.linalg.eigvalsh(data))
-    values = [float(v) for v in base + _min_conditional_entropy(_bloch(data, measured))]
+    values = [float(v) for v in base + _min_conditional_entropy(_bloch(data, measured)).value]
     return values[0] if single else values
 
 
@@ -550,7 +788,7 @@ def verify_points(points, nmax=None):
     lam = _check_densities(_partial_trace(pairs, (2, 2), (0,)))
     s1, s2, s12, s23 = np.split(np.concatenate([_entropies(lam), _entropies(_check_densities(quads)[: 2 * count])]), 4)
     c13, c23, c12 = np.split(_concurrences(quads), 3)
-    d12, d23 = np.split(np.concatenate([s1 - s12, s2 - s23]) + _min_conditional_entropy(_bloch(pairs, 0)), 2)
+    d12, d23 = np.split(np.concatenate([s1 - s12, s2 - s23]) + _min_conditional_entropy(_bloch(pairs, 0)).value, 2)
     oracle = {
         "S1": s1, "S2": s2, "S12": s12, "S23": s23, "C12_conc": c12, "C23_conc": c23, "C13_conc": c13,
         "C1_23_conc": 2.0 * np.sqrt(np.prod(np.clip(lam[:count], 0.0, None), axis=1)), "E12": [_eof(c) for c in c12],

@@ -311,6 +311,24 @@ class TestVerifyCommand:
         assert "start=1.0" in err and "stop=1.0" in err and "steps=3" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("start", ["0", "1e-20"])
+    def test_strength_without_odd_cat_is_usage_error(self, tmp_path, capsys, start):
+        # as alpha2 -> 0 the cat pair has no odd vector; the point is named
+        # before --out is created
+        out = tmp_path / "verify.csv"
+        code = main(["verify", "--start", start, "--stop", "1", "--steps", "2", "--m", "0", "--k", "0", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"alpha2={float(start)!r} (m=0, k=0)" in err and "no odd vector" in err
+        assert not out.exists()
+
+    def test_degenerate_odd_point_is_usage_error_before_output(self, tmp_path, capsys):
+        out = tmp_path / "verify.csv"
+        code = main(["verify", "--start", "1e-9", "--stop", "1", "--steps", "2", "--m", "0", "--k", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "odd-parity state degenerates" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         args = ["verify", "--start", "0.2", "--stop", "2.0", "--steps", "3", "--m", "0", "3", "--k", "0", "1",
                 "--out"]

@@ -252,8 +252,17 @@ class TestWLimitReport:
                 assert getattr(rep, name) is None
 
     def test_even_parity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="only for odd parity"):
             w_limit_report(1, k=0)
+
+    @pytest.mark.parametrize("k", [3, -1, 2])
+    def test_invalid_parity_rejected_as_model_params_does(self, k):
+        # the parity rule has one owner, so a flag ModelParams refuses is
+        # refused here too rather than read modulo 2
+        with pytest.raises(ValueError, match=f"parity flag k must be 0 \\(even\\) or 1 \\(odd\\), got {k}"):
+            ModelParams(0.1, 0, k)
+        with pytest.raises(ValueError, match=f"parity flag k must be 0 \\(even\\) or 1 \\(odd\\), got {k}"):
+            w_limit_report(0, k)
 
     def test_matches_numeric_limit(self):
         assert w_limit_report(1).Delta123 == pytest.approx(

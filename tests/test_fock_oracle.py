@@ -8,7 +8,7 @@ from pacsqc.special import binary_entropy, laguerre, pacs_overlap
 from pacsqc.states import LimitRegimeError, ModelParams, ghz_rho12, ghz_rho23
 from pacsqc import correlations, fock_oracle
 from pacsqc.correlations import report
-from pacsqc.fock_oracle import _mode_pairs, _psd_sqrt, _superposition
+from pacsqc.fock_oracle import _CAPPED, _NEWTON, _STENCIL_FALLBACK, _mode_pairs, _psd_sqrt, _superpositions
 from pacsqc.fock_oracle import (
     FIELD_BOUNDS,
     DensityMatrix,
@@ -29,6 +29,7 @@ from pacsqc.fock_oracle import (
     von_neumann_entropy,
     wootters_concurrence,
 )
+from zoom_reference import zoom_minima
 
 DISCORD_FIELDS = ("D12", "D23", "Delta123")
 
@@ -81,6 +82,32 @@ def brute_force_discord(rho, points=256, measured=0, polish=False):
         minimum = min(minimum, float(result.fun))
     s_measured = von_neumann_entropy(partial_trace(rho, (measured,)))
     return s_measured - von_neumann_entropy(rho) + minimum
+
+
+def landed_conditional_entropies(data, directions, measured):
+    """Post-measurement conditional entropies of a (B, 4, 4) density stack
+    measured on the ``measured`` qubit along the unit Bloch vectors
+    ``directions`` (B, 3), from the spectra of the projected states."""
+    theta, phi = np.arccos(np.clip(directions[:, 2], -1.0, 1.0)), np.arctan2(directions[:, 1], directions[:, 0])
+    spinors = np.stack([np.cos(0.5 * theta), np.exp(1j * phi) * np.sin(0.5 * theta)], axis=1)
+    tensor = data.reshape(-1, 2, 2, 2, 2)
+    if measured == 1:
+        tensor = tensor.transpose(0, 2, 1, 4, 3)
+    branch = np.einsum("za,zajbl,zb->zjl", spinors.conj(), tensor, spinors)
+    conditional = np.zeros(len(data))
+    for sigma in (branch, np.einsum("zjajb->zab", tensor) - branch):
+        lam = np.clip(np.linalg.eigvalsh(sigma), 1e-300, None)
+        weight = lam.sum(axis=1)
+        conditional += weight * np.log2(weight) - np.sum(lam * np.log2(lam), axis=1)
+    return conditional
+
+
+def verify_grid_bloch():
+    """Pauli forms of the 800 densities (rho12 and rho23 of each point)
+    whose discords the default `pacsqc verify` grid minimizes."""
+    rho123, _ = fock_oracle._cat_projectors(verification_grid(), None)
+    pairs = np.concatenate([fock_oracle._partial_trace(rho123, (2, 2, 2), keep) for keep in ((0, 1), (1, 2))])
+    return fock_oracle._bloch(pairs, 0)
 
 
 def seeded_densities(seed, count, rank, imaginary):
@@ -171,6 +198,20 @@ class TestFockVectors:
         plus = add_photons(coherent_vector(1.0, nmax), 2)
         minus = add_photons(coherent_vector(-1.0, nmax), 2)
         assert inner(minus, plus).real == pytest.approx(pacs_overlap(2, 1.0), abs=1e-10)
+
+    def test_public_vectors_are_rows_of_the_stacked_build(self):
+        # coherent_vector and add_photons run the stacked kernels on a stack
+        # of one; rows of a stack with other cutoffs and photon counts agree
+        alpha, photons = np.array([0.3, -1.2, 2.0, 0.0]), np.array([0, 3, 1, 2])
+        cutoffs = np.array([default_nmax(a * a, m) for a, m in zip(alpha, photons)])
+        plain = fock_oracle._coherent_rows(alpha, cutoffs)
+        for normalize in (True, False):
+            lifted = fock_oracle._add_photon_rows(plain, photons, cutoffs, normalize)
+            for i, (a, m, nmax) in enumerate(zip(alpha, photons, cutoffs)):
+                vector = coherent_vector(a, nmax)
+                assert np.array_equal(vector.amplitudes, plain[i, : nmax + 1])
+                assert not plain[i, nmax + 1 :].any()
+                assert np.array_equal(add_photons(vector, m, normalize).amplitudes, lifted[i, : nmax + 1])
 
     def test_headroom_guard(self):
         top_heavy = FockVector(np.array([0.0, 0.0, 1.0], dtype=complex))
@@ -300,7 +341,7 @@ class TestEntropyAndConcurrence:
     def test_wootters_on_pure_coefficients(self, params):
         # on pure two-qubit projectors the spin-flip spectrum reduces to
         # 2 |C00 C11 - C01 C10|, here on the quasi-Bell cat coefficients
-        coeffs = _superposition([params.sign], [_mode_pairs(params, None)])[0].reshape(2, 2)
+        coeffs = _superpositions([params.sign], _mode_pairs([params], None))[0][0].reshape(2, 2)
         rho = np.outer(coeffs.reshape(4), coeffs.reshape(4).conj())
         pure = 2.0 * abs(coeffs[0, 0] * coeffs[1, 1] - coeffs[0, 1] * coeffs[1, 0])
         assert wootters_concurrence(rho) == pytest.approx(pure, abs=1e-10)
@@ -377,23 +418,55 @@ class TestDiscordNumeric:
         reference = brute_force_discord(rho, points=64, measured=measured, polish=True)
         assert discord_numeric(rho, measured=measured) <= reference + 1e-12
 
-    def test_stack_of_fast_and_slow_densities(self, stall_sets, monkeypatch):
-        # each zoom round calls `_features` once; a verify-grid density
-        # finishes in ~12 rounds, set 2's index 460 in ~300
-        stack = [partial_trace(build_tripartite(ModelParams(1.3, 2, 0)), (0, 1))]
+    def test_stack_of_fast_and_slow_densities(self, stall_sets):
+        # a pure state (flat objective) and rho12 at alpha2 = 1, m = 1
+        # (kappa_1 = 0, a singular Hessian) fall back to the stencil and take
+        # more iterations than their Newton stack-mates; each density still
+        # lands, and counts, as it does alone
+        stack = [partial_trace(build_tripartite(ModelParams(1.3, 2, 0)), (0, 1)), stall_sets[1][0]]
+        stack += [partial_trace(build_tripartite(ModelParams(1.0, 1, k)), (0, 1)) for k in (0, 1)]
         stack += [stall_sets[key][index] for key, index, _ in STALL_CASES] + random_densities(3, seed=2)
-        features, calls = fock_oracle._features, []
-        monkeypatch.setattr(fock_oracle, "_features", lambda *args: calls.append(1) or features(*args))
 
-        def rounds(densities):
-            calls.clear()
-            return discord_numeric(densities, measured=1), len(calls)
+        def minimize(densities):
+            return fock_oracle._min_conditional_entropy(fock_oracle._bloch(np.array([d.data for d in densities]), 0))
 
-        single = [rounds(rho) for rho in stack]
-        stacked, stacked_rounds = rounds(stack)
-        assert stacked == [value for value, _ in single]
-        assert stacked_rounds == max(count for _, count in single) < fock_oracle._MAX_ROUNDS
-        assert min(count for _, count in single) < 20 < 200 < stacked_rounds
+        single = [minimize([rho]) for rho in stack]
+        stacked = minimize(stack)
+        for field, values in zip(stacked._fields, stacked):
+            assert np.array_equal(values, np.concatenate([getattr(m, field) for m in single]), equal_nan=True), field
+        assert discord_numeric(stack) == [discord_numeric(rho) for rho in stack]
+        newton, fallen = stacked.flag == _NEWTON, stacked.flag == _STENCIL_FALLBACK
+        assert list(np.flatnonzero(fallen)) == [1, 2, 3] and not np.any(stacked.flag == _CAPPED)
+        assert stacked.iterations[newton].max() <= 9 < stacked.iterations[fallen].min()
+        assert np.all(stacked.gradient_norm[newton] < 1e-6)
+
+    def test_no_density_stops_on_a_cap(self, stall_sets):
+        minima = fock_oracle._min_conditional_entropy(verify_grid_bloch())
+        assert not np.any(minima.flag == _CAPPED)
+        assert np.mean(minima.flag == _NEWTON) > 0.99
+        assert np.median(minima.iterations) <= 5
+        for key, index, measured in STALL_CASES:
+            minima = fock_oracle._min_conditional_entropy(fock_oracle._bloch(stall_sets[key][index].data[None], measured))
+            assert minima.flag[0] == _NEWTON and minima.iterations[0] < 10, (key, index, measured)
+
+    def test_verify_grid_minima_match_the_zoom(self):
+        # the frozen zoom-stencil minimizer the Newton refinement replaced
+        corr = verify_grid_bloch()
+        zoom, _ = zoom_minima(corr)
+        assert np.max(np.abs(fock_oracle._min_conditional_entropy(corr).value - zoom)) <= 1e-14
+
+    @pytest.mark.parametrize("measured", [0, 1])
+    @pytest.mark.parametrize("key", sorted(STALL_SETS))
+    def test_no_minimum_rises_above_the_zoom(self, stall_sets, key, measured):
+        # the zoom's own values carry its expanded formula's rounding, up to
+        # ~1.5e-14 below the projector value where it landed (1.03e-14 below
+        # the 40-digit value at set 2, index 378), so each landing point is
+        # read from the projected states instead
+        data = np.array([rho.data for rho in stall_sets[key]])
+        corr = fock_oracle._bloch(data, measured)
+        _, landed = zoom_minima(corr)
+        zoom = landed_conditional_entropies(data, landed, measured)
+        assert np.all(fock_oracle._min_conditional_entropy(corr).value <= zoom + 1e-14)
 
     def test_refinement_beats_dense_grid(self):
         densities = random_densities(12, seed=5)
@@ -519,6 +592,13 @@ class TestVerify:
         records = verify_points(points)
         assert [record.params for record in records] == points
         assert [record.deviations for record in records] == [verify(params).deviations for params in points]
+
+    @pytest.mark.parametrize("alpha2", [0.0, 1e-20])
+    def test_strength_without_odd_cat_is_refused(self, alpha2):
+        with pytest.raises(ValueError, match=rf"alpha2={alpha2!r} \(m=2, k=0\).*no odd vector"):
+            verify_points([ModelParams(1.0, 0, 0), ModelParams(alpha2, 2, 0)])
+        # just above the rule the oracle still builds and agrees
+        assert verify(ModelParams(3e-19, 2, 0)).passes()
 
     def test_nan_deviation_fails(self):
         record = verify(ModelParams(0.5, 1, 0))
