@@ -19,8 +19,9 @@ calls, validating each stack of densities once; the one-object functions,
 `coherent_vector` and `add_photons` included, run the same kernels on a
 stack of one.  The discord minimizer works on the real Bloch form
 (r, s, T) of each 4x4 density, where the conditional entropy depends on the
-direction n only through n.r, n.(T s) and n^T T T^T n: a 32x32
-(theta, phi) grid pass finds each basin, Newton steps with a closed-form
+direction n only through n.r, n.(T s) and n^T T T^T n: a pass over 497
+grid directions, spaced pi/32 in theta and pi/16 in phi with x-hat, y-hat
+and z-hat among them, finds each basin, Newton steps with a closed-form
 chart gradient and Hessian refine it, and 9x9 zoom-stencil rounds are the
 safeguard for a density Newton cannot finish.
 """
@@ -303,13 +304,15 @@ def _require_cat_pairs(points):
     odd-parity degenerate regime (see states), and alpha2 below 2.5e-19,
     where |alpha> - |-alpha>, of norm about 2|alpha| < 1e-9, leaves the
     pair {|alpha>, |-alpha>} no odd vector to span a qubit with."""
-    for params in points:
-        _require_regular(params.alpha2, params.k)
-        if 4.0 * params.alpha2 < 1e-18:
-            raise ValueError(
-                f"the oracle has no cat basis at alpha2={params.alpha2!r} (m={params.m}, k={params.k}): "
-                "as alpha2 -> 0 the pair |alpha>, |-alpha> has no odd vector; use alpha2 >= 2.5e-19"
-            )
+    alpha2 = np.array([params.alpha2 for params in points])
+    _require_regular(alpha2, np.array([params.k for params in points]))
+    low = 4.0 * alpha2 < 1e-18
+    if low.any():
+        params = points[np.argmax(low)]
+        raise ValueError(
+            f"the oracle has no cat basis at alpha2={params.alpha2!r} (m={params.m}, k={params.k}): "
+            "as alpha2 -> 0 the pair |alpha>, |-alpha> has no odd vector; use alpha2 >= 2.5e-19"
+        )
 
 
 def _mode_pairs(points, nmax):
@@ -376,38 +379,59 @@ def build_bell_pair(params, nmax=None):
     return DensityMatrix(_cat_projectors([params], nmax)[1][0], (2, 2))
 
 
-_THETA_POINTS = 32
-_PHI_POINTS = 32
+def _monomials(x, y, z):
+    """The terms (1, n_i, n_i^2, 2 n_i n_j) through which the conditional
+    entropy depends on the direction n = (x, y, z), stacked on axis -2."""
+    return np.stack([np.ones_like(x), x, y, z, x * x, y * y, z * z, 2.0 * x * y, 2.0 * x * z, 2.0 * y * z], axis=-2)
 
 
 def _features(theta, phi):
-    """The terms (1, n_i, n_i^2, 2 n_i n_j) through which the conditional
-    entropy depends on the direction n, on each row's (theta, phi) product
-    grid: theta (B, a) and phi (B, b) give (B, 10, a * b), theta-major."""
+    """`_monomials` on each row's (theta, phi) product grid: theta (B, a)
+    and phi (B, b) give (B, 10, a * b), theta-major."""
     sin_t, size = np.sin(theta)[:, :, None], (len(theta), theta.shape[1] * phi.shape[1])
     x = (sin_t * np.cos(phi)[:, None, :]).reshape(size)
     y = (sin_t * np.sin(phi)[:, None, :]).reshape(size)
-    z = np.repeat(np.cos(theta), phi.shape[1], axis=1)
-    return np.stack([np.ones(size), x, y, z, x * x, y * y, z * z, 2.0 * x * y, 2.0 * x * z, 2.0 * y * z], axis=1)
+    return _monomials(x, y, np.repeat(np.cos(theta), phi.shape[1], axis=1))
 
 
-# The grid's rows theta and pi - theta, with phi and phi + pi, hold the
-# directions n and -n: one measurement with its two outcomes swapped.  Only
-# the rows theta < pi/2 are evaluated.
-_GRID_PHI = np.linspace(0.0, 2.0 * math.pi, _PHI_POINTS, endpoint=False)
-_GRID_FEATURES = _features(np.linspace(0.0, math.pi, _THETA_POINTS)[None, : _THETA_POINTS // 2], _GRID_PHI[None])[0]
-# The frame [n, phi-hat, n x phi-hat = -theta-hat] of each grid direction
-# n carries the chart point (pi/2, 0) onto n, with chart steps along
-# theta-hat and phi-hat; n = frame^T n' turns n.r into n'.(frame r) and
-# T^T n into (frame T)^T n'.
-_GRID_FRAMES = np.zeros((_GRID_FEATURES.shape[1], 3, 3))
-_GRID_FRAMES[:, 0] = _GRID_FEATURES[1:4].T
-_GRID_FRAMES[:, 1, :2] = np.tile(np.column_stack([-np.sin(_GRID_PHI), np.cos(_GRID_PHI)]), (_THETA_POINTS // 2, 1))
-_GRID_FRAMES[:, 2] = np.cross(_GRID_FRAMES[:, 0], _GRID_FRAMES[:, 1])
+# The basin grid's spacing in theta; phi takes steps of twice it.
+_GRID_STEP = math.pi / 32.0
+
+
+def _basin_grid():
+    """Features (10, 497) and frames (497, 3, 3) of the basin grid's
+    directions, theta = i pi/32 (i = 0..16) by phi = j pi/16 (j = 0..31).
+
+    The directions n and -n are one measurement with its two outcomes
+    swapped, so each appears once: the pole, the rows 0 < theta < pi/2
+    whole and the equator for phi < pi.  Every sine and cosine is read from
+    one table of sin(k pi/32), so x-hat, y-hat and z-hat are grid points
+    with exact zeros and ones; x-hat is the optimal measurement of the
+    X-shaped reductions (see `states`) at every verify-grid density.  The
+    frame [n, phi-hat, n x phi-hat = -theta-hat] of each direction n
+    carries the chart point (pi/2, 0) onto n, with chart steps along
+    theta-hat and phi-hat; n = frame^T n' turns n.r into n'.(frame r) and
+    T^T n into (frame T)^T n'.
+    """
+    quarter = np.sin(np.arange(17) * _GRID_STEP)
+    sines = np.concatenate([quarter, quarter[15:0:-1], -quarter, -quarter[15:0:-1]])  # k = 0..63
+    theta = np.concatenate([[0], np.repeat(np.arange(1, 16), 32), np.full(16, 16)])
+    phi = np.concatenate([[0], np.tile(np.arange(0, 64, 2), 15), np.arange(0, 32, 2)])
+    sin_t, cos_t, sin_p, cos_p = sines[theta], sines[theta + 16], sines[phi], sines[(phi + 16) % 64]
+    features = _monomials(sin_t * cos_p, sin_t * sin_p, cos_t)
+    frames = np.zeros((len(theta), 3, 3))
+    frames[:, 0] = features[1:4].T
+    frames[:, 1, :2] = np.column_stack([-sin_p, cos_p])
+    frames[:, 2] = np.cross(frames[:, 0], frames[:, 1])
+    return features, frames
+
+
+_GRID_FEATURES, _GRID_FRAMES = _basin_grid()
 # Densities per grid-pass chunk (results do not depend on it): the largest
-# temporaries, the (16, 3, 512) product and the two outcomes, hold 192 KB and
-# 128 KB.  On the default verify grid's 800 densities, chunks of 4, 8, 16, 32
-# and 64 took 42, 35, 29, 28 and 31 us per density (one core, 2-vCPU x86 VM).
+# temporaries, the (16, 3, 497) product and the two outcomes, hold 186 KB and
+# 124 KB.  On the default verify grid's 800 densities, chunks of 4, 8, 16, 32
+# and 64 took 30-46, 25-35, 21-28, 43-66 and 22-30 us per density over three
+# runs (one core, 2-vCPU x86 VM).
 _GRID_CHUNK = 16
 
 
@@ -502,7 +526,7 @@ _ADJUGATE = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1
 # longer move the value.  A step that does not lower the value is a stop
 # too when it predicted at most _STALL, rounding's reach, and otherwise a
 # fall back to the stencil; so is a density still moving after _NEWTON_CAP
-# iterations (verify-grid densities take 2-8, seeded random ones 0-6).
+# iterations (verify-grid densities take 0, seeded random ones 0-6).
 _EPS = 2.0 ** -52
 _STALL = 16.0 * _EPS
 _NEWTON_CAP = 30
@@ -573,7 +597,7 @@ def _newton_terms(frame, s, x):
 # valley can take ~300).
 _STENCIL = np.arange(-4, 5) / 4.0
 _EDGE = ((np.abs(_STENCIL[:, None]) == 1.0) | (np.abs(_STENCIL) == 1.0)).ravel()
-_FIRST_HALF_WIDTHS = np.array([math.pi / (_THETA_POINTS - 1), 2.0 * math.pi / _PHI_POINTS])
+_FIRST_HALF_WIDTHS = np.array([_GRID_STEP, 2.0 * _GRID_STEP])
 _STOP_HALF_WIDTH = 1.5e-8
 _MAX_ROUNDS = 500
 
@@ -609,14 +633,16 @@ _NEWTON, _STENCIL_FALLBACK, _CAPPED = 0, 1, 2
 class _Minima(NamedTuple):
     """Per-density results of `_min_conditional_entropy`: the minimum, the
     Newton iterations plus stencil rounds taken, the tangent-gradient norm
-    at the landing point (nan where the closed forms do not hold there) and
+    at the landing point (nan where the closed forms do not hold there),
     how the refinement ended: _NEWTON, _STENCIL_FALLBACK (fell back to the
-    stencil safeguard) or _CAPPED (the stencil stopped on _MAX_ROUNDS)."""
+    stencil safeguard) or _CAPPED (the stencil stopped on _MAX_ROUNDS), and
+    the landing point's unit Bloch direction (B, 3)."""
 
     value: np.ndarray
     iterations: np.ndarray
     gradient_norm: np.ndarray
     flag: np.ndarray
+    direction: np.ndarray
 
 
 def _min_conditional_entropy(corr):
@@ -626,14 +652,18 @@ def _min_conditional_entropy(corr):
     taken per density and every update is masked per density, so no result
     depends on the rest of the stack.
 
-    A 32x32 grid pass finds each density's basin, and its minimum is
-    rotated onto the equator of a local chart, away from the chart poles,
-    where phi steps shrink to nothing.  Newton steps in that chart follow
-    (`_newton_terms`); a density whose Hessian is not positive definite,
-    whose step does not lower the value, whose closed forms fail or which
-    is still moving after _NEWTON_CAP iterations falls back to stencil
-    rounds from its best point.  Only steps that lower the value move a
-    density, so no result exceeds the grid minimum.
+    A pass over the basin grid (`_basin_grid`) finds each density's basin,
+    and its minimum is rotated onto the equator of a local chart, away from
+    the chart poles, where phi steps shrink to nothing.  A grid minimum
+    within _STALL of 0, the least a conditional entropy can be, is final.
+    Otherwise Newton steps in the chart follow (`_newton_terms`); where the
+    minimum is a grid point, as x-hat mostly is for the reductions, the
+    first predicted decrease is below eps and no step is taken.  A density
+    whose Hessian is not positive definite, whose step does not lower the
+    value, whose closed forms fail or which is still moving after
+    _NEWTON_CAP iterations falls back to stencil rounds from its best
+    point.  Only steps that lower the value move a density, so no result
+    exceeds the grid minimum.
     """
     coeffs, rows = _coefficients(corr), np.arange(len(corr))
     pick, best = np.empty(len(corr), dtype=int), np.empty(len(corr))
@@ -650,7 +680,7 @@ def _min_conditional_entropy(corr):
 
     point = np.tile([0.5 * math.pi, 0.0], (len(corr), 1))
     value, gradient, step, decrease, usable = _newton_terms(frame, s, point)
-    live, fallback = np.ones(len(corr), dtype=bool), np.zeros(len(corr), dtype=bool)
+    live, fallback = best > _STALL, np.zeros(len(corr), dtype=bool)
     iterations = np.zeros(len(corr), dtype=int)
     for _ in range(_NEWTON_CAP):
         fallback |= live & ~usable
@@ -677,8 +707,11 @@ def _min_conditional_entropy(corr):
         iterations[index] += rounds
         flag[index[capped]] = _CAPPED
         gradient[index] = _newton_terms(frame[index], s[index], centre)[1]
-    norm = np.hypot(gradient[:, 0], gradient[:, 1] / np.sin(point[:, 0]))
-    return _Minima(np.minimum(value, best), iterations, norm, flag)
+    sin_t = np.sin(point[:, 0])
+    norm = np.hypot(gradient[:, 0], gradient[:, 1] / sin_t)
+    chart = np.column_stack([sin_t * np.cos(point[:, 1]), sin_t * np.sin(point[:, 1]), np.cos(point[:, 0])])
+    direction = (np.swapaxes(_GRID_FRAMES[pick], 1, 2) @ chart[:, :, None])[:, :, 0]
+    return _Minima(np.minimum(value, best), iterations, norm, flag, direction)
 
 
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -701,13 +734,15 @@ def discord_numeric(rho, measured=0):
 
     ``rho`` is one two-qubit DensityMatrix, giving a float, or a sequence of
     them, giving a list of floats from one stacked minimization.  The
-    conditional entropy is minimized on a 32x32 (theta, phi) grid, then by
-    Newton steps from the grid minimum until a step could no longer move
-    the value (about eps); a density whose Hessian is not positive definite,
-    whose step does not lower the value or whose conditional state has an
-    eigenvalue near 0 falls back to 9x9 stencil rounds that stop at 1.5e-8
-    rad.  The result is S_measured - S_joint + that minimum, never above the
-    grid's.
+    conditional entropy is minimized on a grid of 497 directions that holds
+    the three axes, then by Newton steps from the grid minimum until a step
+    could no longer move the value (about eps; the oracle's X-shaped
+    reductions mostly have their minimum at x-hat and take no step); a
+    grid minimum within rounding of 0 is final, and a density whose Hessian
+    is not positive definite, whose step does not lower the value or whose
+    conditional state has an eigenvalue near 0 falls back to 9x9 stencil
+    rounds that stop at 1.5e-8 rad.  The result is S_measured - S_joint +
+    that minimum, never above the grid's.
     """
     single = isinstance(rho, DensityMatrix)
     densities = [rho] if single else list(rho)

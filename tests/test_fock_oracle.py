@@ -102,12 +102,52 @@ def landed_conditional_entropies(data, directions, measured):
     return conditional
 
 
+def reductions(points):
+    """rho12 and rho23 of each point, (2 * len(points), 4, 4): the densities
+    whose discords `verify_points` minimizes, measured on the left mode."""
+    rho123, _ = fock_oracle._cat_projectors(points, None)
+    return np.concatenate([fock_oracle._partial_trace(rho123, (2, 2, 2), keep) for keep in ((0, 1), (1, 2))])
+
+
 def verify_grid_bloch():
-    """Pauli forms of the 800 densities (rho12 and rho23 of each point)
-    whose discords the default `pacsqc verify` grid minimizes."""
-    rho123, _ = fock_oracle._cat_projectors(verification_grid(), None)
-    pairs = np.concatenate([fock_oracle._partial_trace(rho123, (2, 2, 2), keep) for keep in ((0, 1), (1, 2))])
-    return fock_oracle._bloch(pairs, 0)
+    """Pauli forms of the 800 densities whose discords the default `pacsqc
+    verify` grid minimizes."""
+    return fock_oracle._bloch(reductions(verification_grid()), 0)
+
+
+def random_points(count=200, seed=14):
+    """``count`` seeded points: alpha2 log-uniform in [1e-4, 12], m <= 16,
+    both parities."""
+    rng = np.random.default_rng(seed)
+    alpha2 = np.exp(rng.uniform(math.log(1e-4), math.log(12.0), count))
+    orders, parities = rng.integers(0, 17, count), rng.integers(0, 2, count)
+    return [ModelParams(float(a), int(m), int(k)) for a, m, k in zip(alpha2, orders, parities)]
+
+
+def precise_conditional_entropy(rho, direction, digits=40):
+    """Conditional entropy of the right qubit of the 4x4 density ``rho``
+    after measuring the left one along the unit Bloch vector ``direction``,
+    from the projected states in ``digits``-digit arithmetic (the float
+    inputs taken as exact)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        entries = [[mpmath.mpc(complex(value)) for value in row] for row in rho]
+        x, y, z = (mpmath.mpf(float(c)) for c in direction)
+        half = mpmath.acos(z / mpmath.sqrt(x * x + y * y + z * z)) / 2
+        phase = mpmath.expj(mpmath.atan2(y, x))
+        total = mpmath.mpf(0)
+        for spinor in ([mpmath.cos(half), phase * mpmath.sin(half)], [-mpmath.sin(half) / phase, mpmath.cos(half)]):
+            block = [
+                [sum(mpmath.conj(spinor[a]) * entries[2 * a + j][2 * b + l] * spinor[b] for a in (0, 1) for b in (0, 1))
+                 for l in (0, 1)]
+                for j in (0, 1)
+            ]
+            weight = mpmath.re(block[0][0] + block[1][1])
+            split = mpmath.sqrt(mpmath.re(block[0][0] - block[1][1]) ** 2 + 4 * abs(block[0][1]) ** 2)
+            for lam, sign in ((weight, 1), ((weight + split) / 2, -1), ((weight - split) / 2, -1)):
+                if lam > 0:
+                    total += sign * lam * mpmath.log(lam, 2)
+        return float(total)
 
 
 def seeded_densities(seed, count, rank, imaginary):
@@ -150,6 +190,14 @@ def classical_quantum(theta, phi):
     plus = np.full((2, 2), 0.5)
     rho = 0.5 * np.kron(np.outer(up, up.conj()), zero) + 0.5 * np.kron(np.outer(down, down.conj()), plus)
     return DensityMatrix(rho, (2, 2))
+
+
+def turned(rho, a, b):
+    """``rho`` with its left qubit rotated by exp(-i (a sigma_y + b sigma_z) / 2)."""
+    generator = a * np.array([[0.0, -1j], [1j, 0.0]]) + b * np.diag([1.0, -1.0])
+    w, v = np.linalg.eigh(generator)
+    rotation = np.kron((v * np.exp(-0.5j * w)) @ v.conj().T, np.eye(2))
+    return DensityMatrix(rotation @ rho.data @ rotation.conj().T, (2, 2))
 
 
 class TestFockVectors:
@@ -419,12 +467,14 @@ class TestDiscordNumeric:
         assert discord_numeric(rho, measured=measured) <= reference + 1e-12
 
     def test_stack_of_fast_and_slow_densities(self, stall_sets):
-        # a pure state (flat objective) and rho12 at alpha2 = 1, m = 1
-        # (kappa_1 = 0, a singular Hessian) fall back to the stencil and take
-        # more iterations than their Newton stack-mates; each density still
-        # lands, and counts, as it does alone
+        # a pure state (zero minimum) and rho12 at alpha2 = 1, m = 1 (kappa_1
+        # = 0) stop on the grid; turned off the axes by a fixed rotation of
+        # the measured qubit, that rho12's singular minimum falls back to the
+        # stencil and takes more iterations than its Newton stack-mates; each
+        # density still lands, and counts, as it does alone
+        rho12 = [partial_trace(build_tripartite(ModelParams(1.0, 1, k)), (0, 1)) for k in (0, 1)]
         stack = [partial_trace(build_tripartite(ModelParams(1.3, 2, 0)), (0, 1)), stall_sets[1][0]]
-        stack += [partial_trace(build_tripartite(ModelParams(1.0, 1, k)), (0, 1)) for k in (0, 1)]
+        stack += [turned(rho, 0.5, 0.7) for rho in rho12] + rho12
         stack += [stall_sets[key][index] for key, index, _ in STALL_CASES] + random_densities(3, seed=2)
 
         def minimize(densities):
@@ -436,9 +486,62 @@ class TestDiscordNumeric:
             assert np.array_equal(values, np.concatenate([getattr(m, field) for m in single]), equal_nan=True), field
         assert discord_numeric(stack) == [discord_numeric(rho) for rho in stack]
         newton, fallen = stacked.flag == _NEWTON, stacked.flag == _STENCIL_FALLBACK
-        assert list(np.flatnonzero(fallen)) == [1, 2, 3] and not np.any(stacked.flag == _CAPPED)
+        assert list(np.flatnonzero(fallen)) == [2, 3] and not np.any(stacked.flag == _CAPPED)
         assert stacked.iterations[newton].max() <= 9 < stacked.iterations[fallen].min()
-        assert np.all(stacked.gradient_norm[newton] < 1e-6)
+        assert list(stacked.iterations[[1, 4, 5]]) == [0, 0, 0]
+        # the pure state's conditional states are pure, where the closed
+        # forms behind the gradient do not hold
+        assert np.all(np.delete(stacked.gradient_norm, 1)[np.delete(newton, 1)] < 1e-6)
+
+    def test_rank_one_densities_stop_on_the_grid(self, stall_sets):
+        # every conditional state of a pure density is pure: the grid
+        # minimum is 0 within rounding, and neither Newton nor the stencil runs
+        data = np.array([rho.data for rho in stall_sets[1][::4]])
+        for measured in (0, 1):
+            minima = fock_oracle._min_conditional_entropy(fock_oracle._bloch(data, measured))
+            assert np.all(minima.flag == _NEWTON) and not minima.iterations.any()
+            assert np.all(np.abs(minima.value) <= fock_oracle._STALL)
+
+    def test_grid_holds_each_axis_once(self):
+        directions = fock_oracle._GRID_FEATURES[1:4].T
+        for axis in np.eye(3):
+            assert np.sum(np.all(directions == axis, axis=1)) == 1
+        # no direction twice, nor with its antipode (the same measurement)
+        overlaps = np.abs(directions @ directions.T)[~np.eye(len(directions), dtype=bool)]
+        assert len(directions) <= 512 and overlaps.max() < 1.0 - 1e-6
+        theta = np.unique(np.round(np.arccos(np.clip(directions[:, 2], -1.0, 1.0)), 12))
+        assert theta[0] == 0.0 and theta[-1] == pytest.approx(0.5 * math.pi, abs=1e-12)
+        assert np.max(np.diff(theta)) <= math.pi / 31
+        frames = fock_oracle._GRID_FRAMES
+        assert np.array_equal(frames[:, 0], directions)
+        assert_allclose(frames @ np.swapaxes(frames, 1, 2), np.broadcast_to(np.eye(3), frames.shape), atol=1e-15)
+
+    def test_reductions_land_on_x_hat(self):
+        # the X-shaped reductions' optimum is sigma_x, a grid point, so no
+        # Newton step is taken.  Below alpha2 ~ 5e-4 at even parity the
+        # theta curvature there (~1e-11) is below the Hessian's rounding
+        # (~1e-9), and some of those densities fall back to the stencil
+        x_hat = [1.0, 0.0, 0.0]
+        minima = fock_oracle._min_conditional_entropy(verify_grid_bloch())
+        assert np.all(minima.flag == _NEWTON) and not minima.iterations.any()
+        assert_allclose(minima.direction, np.broadcast_to(x_hat, minima.direction.shape), rtol=0.0, atol=1e-15)
+        points = random_points()
+        minima = fock_oracle._min_conditional_entropy(fock_oracle._bloch(reductions(points), 0))
+        newton = minima.flag == _NEWTON
+        assert not minima.iterations[newton].any()
+        assert_allclose(minima.direction[newton], np.broadcast_to(x_hat, (newton.sum(), 3)), rtol=0.0, atol=1e-15)
+        weak_even = np.tile([params.alpha2 < 1e-3 and params.k == 0 for params in points], 2)
+        assert np.all(weak_even[~newton])
+
+    def test_minima_match_forty_digit_entropies(self):
+        # a conditional eigenvalue lam near 0, known to about eps, moves
+        # -lam log2 lam by up to eps log2(1/eps) ~ 1.2e-14; the worst here,
+        # 8.9e-15, is a density whose conditional states are pure (40-digit
+        # minimum -8.6e-19, at alpha2 = 5.26, m = 9, k = 0)
+        data = np.concatenate([reductions(verification_grid()), reductions(random_points())])
+        minima = fock_oracle._min_conditional_entropy(fock_oracle._bloch(data, 0))
+        precise = [precise_conditional_entropy(rho, n) for rho, n in zip(data, minima.direction)]
+        assert np.max(np.abs(minima.value - precise)) <= 1e-14
 
     def test_no_density_stops_on_a_cap(self, stall_sets):
         minima = fock_oracle._min_conditional_entropy(verify_grid_bloch())
