@@ -7,8 +7,11 @@ the GHZ norm 1 + kappa_m e^{-6|alpha|^2} cos k pi, evaluated once per point.
 the non-arithmetic primitives picked once per call, so an array gives the
 float values bit for bit.  `report` wraps the float call in a
 `CorrelationReport`; `discord_12`, `discord_23`, `discord_1_23` and
-`deficit` are views of its fields.  The threshold and peak finders scan
-their grids in one array call and refine with float calls.
+`deficit` are views of its fields.  The body runs in two stages: the first
+computes the shared terms and the finders' fields D12 and Delta123 (from
+S1, S12, C23, E23 and D1_23), the second the other fields.  The threshold
+and peak finders evaluate the first stage alone: they scan their grids in
+one array call and refine with float calls.
 
 All entropic quantities are in bits.  Pairwise discord is evaluated through
 the Koashi-Winter relation, which replaces the measurement optimization by
@@ -30,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .special import (
-    _binary_entropy_array, _check_alpha2_or_array, _check_order, _elementwise, _first_failure, binary_entropy, kappa,
+    _binary_entropy_array, _check_alpha2, _check_alpha2_or_array, _check_order, _elementwise, _first_failure,
+    binary_entropy, kappa,
 )
 from .states import ModelParams, _check_parity, _degenerate, _require_regular
 
@@ -57,8 +61,10 @@ def eof_from_concurrence(concurrence):
     c = float(concurrence)
     if not -1e-12 <= c <= 1.0 + 1e-12:
         raise ValueError(f"concurrence must lie in [0, 1], got {c!r}")
-    c = min(max(c, 0.0), 1.0)
-    return binary_entropy(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
+    # clamped by comparisons, cheaper per call than min and max; c <= 1
+    # keeps 1 - c^2 >= 0
+    c = 0.0 if c < 0.0 else 1.0 if c > 1.0 else c
+    return binary_entropy(0.5 + 0.5 * math.sqrt(1.0 - c * c))
 
 
 def _eof_array(c):
@@ -202,59 +208,82 @@ _ARRAY_PRIMITIVES = (
 )
 
 
-def _closed_forms(a, m, k):
-    # a = |alpha|^2 (float or checked 1-D array), checked m and k
+# The fields `_first_stage` computes, in the order it returns them.
+_FIRST_STAGE = ("S1", "S12", "C23_conc", "E23", "D1_23", "D12", "Delta123")
+
+
+def _first_stage(a, m, k):
+    # a = |alpha|^2 (float or checked 1-D array), checked m and k.  The
+    # _FIRST_STAGE fields, which hold the finders' fields D12 and Delta123,
+    # then what every other field shares: the primitives, picked per call
+    # from the module's names, and the terms (s, km, e2, e4, denom, one_m_e4).
     if isinstance(a, np.ndarray):
-        exp, expm1, sqrt, square, nonneg, entropy, eof = _ARRAY_PRIMITIVES
+        primitives = _ARRAY_PRIMITIVES
     else:
-        exp, expm1, sqrt, square, nonneg = math.exp, math.expm1, math.sqrt, _square, _nonneg
-        entropy, eof = binary_entropy, eof_from_concurrence
+        primitives = math.exp, math.expm1, math.sqrt, _square, _nonneg, binary_entropy, eof_from_concurrence
+    exp, expm1, _, _, _, entropy, eof = primitives
     s = 1 - 2 * k  # cos k pi
     km = kappa(m, a)
     e2 = exp(-2.0 * a)
     e4 = exp(-4.0 * a)
     # GHZ norm 1 + kappa_m e^{-6a} cos k pi
     denom = 1.0 + km * exp(-6.0 * a) * s
+    one_m_e4 = -expm1(-4.0 * a)
     # Each reduced density has rank two, so every entropy is the binary entropy
     # of its larger eigenvalue; purity of the three-mode state forces S1 = S23
     # and S2 = S12, but each formula keeps its own line.
     s1 = entropy(0.5 * (1.0 + km * e2) * (1.0 + e4 * s) / denom)
-    s2 = entropy(0.5 * (1.0 + e2) * (1.0 + km * e4 * s) / denom)
     s12 = entropy(0.5 * (1.0 + km * e4 * s) * (1.0 + e2) / denom)
-    s23 = entropy(0.5 * (1.0 + e4 * s) * (1.0 + km * e2) / denom)
-    one_m_e4 = -expm1(-4.0 * a)
-    radial = nonneg(1.0 - square(km) * e4)
     # C23 = |kappa_m| e^{-2a} (1 - e^{-4a}) / denom: kappa_m changes sign past
-    # the first Laguerre zero once m >= 1; C13 and C1|23 carry kappa_m^2 only
+    # the first Laguerre zero once m >= 1
     c23 = abs(km) * e2 * one_m_e4 / denom
-    c13 = e2 * sqrt(radial * one_m_e4) / denom
-    c1_23 = sqrt(radial * -expm1(-8.0 * a)) / denom
     e23 = eof(c23)
-    e13 = eof(c13)
     d12 = s1 - s12 + e23  # Koashi-Winter, measurement on mode 1
     # pure 1|(23) cut, D = E = H(1/2 + (kappa_m e^{-2a} + e^{-4a} cos k pi) / (2 denom))
     d1_23 = entropy(0.5 + 0.5 * (km * e2 + e4 * s) / denom)
+    delta = d1_23 - 2.0 * d12  # D_{1|23} - D_12 - D_13, and D_13 = D_12
+    return s1, s12, c23, e23, d1_23, d12, delta, primitives, s, km, e2, e4, denom, one_m_e4
+
+
+def _closed_forms(a, m, k):
+    # every field, in QUANTITIES order: the first stage, then the others
+    s1, s12, c23, e23, d1_23, d12, delta, primitives, s, km, e2, e4, denom, one_m_e4 = _first_stage(a, m, k)
+    _, expm1, sqrt, square, nonneg, entropy, eof = primitives
+    s2 = entropy(0.5 * (1.0 + e2) * (1.0 + km * e4 * s) / denom)
+    s23 = entropy(0.5 * (1.0 + e4 * s) * (1.0 + km * e2) / denom)
+    radial = nonneg(1.0 - square(km) * e4)
+    # C13 and C1|23 carry kappa_m^2 only
+    c13 = e2 * sqrt(radial * one_m_e4) / denom
+    c1_23 = sqrt(radial * -expm1(-8.0 * a)) / denom
+    e13 = eof(c13)
     # quasi-Bell pair: C = sqrt(1 - e^{-4a}) sqrt(1 - kappa_m^2 e^{-4a}) / (1 + kappa_m e^{-4a} cos k pi)
     c12 = sqrt(one_m_e4) * sqrt(radial) / (1.0 + km * e4 * s)
     # quasi-Bell pair: E = H(1/2 + e^{-2a}(1 + kappa_m cos k pi) / (2 + 2 kappa_m e^{-4a} cos k pi))
     e12 = entropy(0.5 + e2 * (1.0 + km * s) / (2.0 + 2.0 * km * e4 * s))
     d23 = s2 - s23 + e13  # Koashi-Winter, measurement on mode 2
-    delta = d1_23 - 2.0 * d12  # D_{1|23} - D_12 - D_13, and D_13 = D_12
-    # in QUANTITIES order; E1_23 = D1_23 on the pure 1|(23) cut
+    # E1_23 = D1_23 on the pure 1|(23) cut
     return s1, s2, s12, s23, c12, c23, c13, c1_23, e12, e23, e13, d1_23, d12, d23, d1_23, delta
 
 
-def _field(m, k, index, alpha2):
-    # the finders' field: `report` field QUANTITIES[index] at a float or at
-    # each element of a checked array; degenerate strengths take the W-type
+def _evaluate(name, a, m, k):
+    # `report` field `name` at a checked float or array strength, from the
+    # first stage alone where it holds the field
+    if name in _FIRST_STAGE:
+        return _first_stage(a, m, k)[_FIRST_STAGE.index(name)]
+    return _closed_forms(a, m, k)[QUANTITIES.index(name)]
+
+
+def _field(m, k, name, alpha2):
+    # the finders' field: `report` field `name` at a float or at each
+    # element of a checked array; degenerate strengths take the W-type
     # limit, which an array takes from its value at alpha2 = 0
     if not isinstance(alpha2, np.ndarray):
         if _degenerate(alpha2, k):
-            return getattr(w_limit_report(m), QUANTITIES[index])
-        return _closed_forms(alpha2, m, k)[index]
+            return getattr(w_limit_report(m), name)
+        return _evaluate(name, alpha2, m, k)
     limit = _degenerate(alpha2, k)
-    value = np.full(alpha2.shape, _field(m, k, index, 0.0) if limit.any() else math.nan)
-    value[~limit] = _closed_forms(alpha2[~limit], m, k)[index]
+    value = np.full(alpha2.shape, _field(m, k, name, 0.0) if limit.any() else math.nan)
+    value[~limit] = _evaluate(name, alpha2[~limit], m, k)
     return value
 
 
@@ -264,6 +293,12 @@ _SCAN_POINTS = 200
 # Deficit magnitudes below this count as zero when looking for a sign change,
 # so float noise at a monogamous boundary cannot fake a crossing.
 _SIGN_BAND = 1e-9
+# The log grid `violation_threshold` scans, built once.
+_SCAN_EXP_LO, _SCAN_EXP_HI = math.log10(_SCAN_LO), math.log10(_SCAN_HI)
+_THRESHOLD_GRID = np.array([
+    10.0 ** (_SCAN_EXP_LO + i * (_SCAN_EXP_HI - _SCAN_EXP_LO) / (_SCAN_POINTS - 1)) for i in range(_SCAN_POINTS)
+])
+_THRESHOLD_GRID.flags.writeable = False
 
 
 def violation_threshold(m, k=1):
@@ -274,18 +309,15 @@ def violation_threshold(m, k=1):
     None when the deficit never changes sign (discord monogamous on the
     whole window).
     """
-    f = functools.partial(_field, _check_order(m), _check_parity(k), QUANTITIES.index("Delta123"))
-    lo_exp = math.log10(_SCAN_LO)
-    hi_exp = math.log10(_SCAN_HI)
-    grid = [10.0 ** (lo_exp + i * (hi_exp - lo_exp) / (_SCAN_POINTS - 1)) for i in range(_SCAN_POINTS)]
-    values = f(np.array(grid)).tolist()
+    f = functools.partial(_field, _check_order(m), _check_parity(k), "Delta123")
+    values = f(_THRESHOLD_GRID).tolist()
     for i in range(_SCAN_POINTS - 1):
         v0, v1 = values[i], values[i + 1]
         if (v0 < -_SIGN_BAND and v1 > _SIGN_BAND) or (v0 > _SIGN_BAND and v1 < -_SIGN_BAND):
             break
     else:
         return None
-    lo, hi, f_lo = grid[i], grid[i + 1], v0
+    lo, hi, f_lo = float(_THRESHOLD_GRID[i]), float(_THRESHOLD_GRID[i + 1]), v0
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
@@ -303,16 +335,21 @@ def discord_12_peak(m, k=0, lo=0.01, hi=4.0):
     """(argmax, max) of D_12 over |alpha|^2 in [lo, hi].
 
     A 400-point coarse scan brackets the peak; golden-section search then
-    narrows the bracket to 1e-10.  Raises ValueError unless lo < hi.
+    narrows the bracket to 1e-10.  Raises ValueError unless lo and hi are
+    finite and non-negative with lo < hi.
     """
+    n = 400
+    lo, hi = _check_alpha2(lo), _check_alpha2(hi)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
-    f = functools.partial(_field, _check_order(m), _check_parity(k), QUANTITIES.index("D12"))
-    n = 400
-    grid = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
-    best = max(range(n), key=f(_check_alpha2_or_array(np.array(grid))).tolist().__getitem__)
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, n - 1)]
+    if not math.isfinite((n - 1) * (hi - lo)):
+        raise ValueError(f"need a finite {n}-point grid over [lo, hi], got lo={lo!r}, hi={hi!r}")
+    f = functools.partial(_field, _check_order(m), _check_parity(k), "D12")
+    # each step rounds as lo + i * (hi - lo) / (n - 1) does in floats
+    grid = lo + np.arange(n) * (hi - lo) / (n - 1)
+    best = max(range(n), key=f(grid).tolist().__getitem__)
+    a = float(grid[max(best - 1, 0)])
+    b = float(grid[min(best + 1, n - 1)])
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)

@@ -150,15 +150,21 @@ def kappa(m, alpha2):
     positive for alpha2 >= 0; the triangle inequality gives |kappa| <= 1.
     Where L_m(-|alpha|^2) overflows (m = 64 from |alpha|^2 ~ 1.5e6) both
     polynomials are taken in units of |alpha|^(2m) instead.  alpha2 may be
-    a float or a 1-D float64 array.
+    a float or a 1-D float64 array; an array takes both polynomials from
+    one recurrence over its negated and plain strengths.
     """
-    alpha2 = _check_alpha2_or_array(alpha2)
+    if isinstance(alpha2, np.ndarray):
+        alpha2 = _check_alpha2_or_array(alpha2)
+        try:
+            both = laguerre(m, np.concatenate([-alpha2, alpha2]))
+        except OverflowError:
+            # the elements whose denominator overflows take the scaled branch
+            return _elementwise(functools.partial(kappa, m), alpha2)
+        return both[alpha2.size:] / both[:alpha2.size]
+    alpha2 = _check_alpha2(alpha2)
     try:
         denominator = laguerre(m, -alpha2)
     except OverflowError:
-        if isinstance(alpha2, np.ndarray):
-            # the elements whose denominator overflows take the scaled branch
-            return _elementwise(functools.partial(kappa, m), alpha2)
         return _scaled_laguerre(m, alpha2, alpha2) / _scaled_laguerre(m, -alpha2, alpha2)
     return laguerre(m, alpha2) / denominator
 

@@ -429,6 +429,21 @@ class TestPeakLocator:
         with pytest.raises(ValueError, match=f"lo={lo!r}, hi={hi!r}"):
             discord_12_peak(2, 0, lo=lo, hi=hi)
 
+    @pytest.mark.parametrize("bound", ["lo", "hi"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_invalid_bound_named(self, bound, bad):
+        # the error names the bound as passed, not a grid value made from it
+        # (hi = inf would give inf - inf = nan)
+        bounds = {"lo": 0.0, "hi": 4.0, bound: bad}
+        with pytest.raises(ValueError) as info:
+            discord_12_peak(0, 0, **bounds)
+        assert str(info.value) == f"|alpha|^2 must be finite and non-negative, got {bad!r}"
+
+    def test_overflowing_grid_rejected(self):
+        # 399 (hi - lo) overflows, so the grid would hold inf strengths
+        with pytest.raises(ValueError, match=r"finite 400-point grid .* lo=0\.0, hi=1e\+306"):
+            discord_12_peak(0, 0, lo=0.0, hi=1e306)
+
 
 def threshold_scan_grid():
     # the log grid `violation_threshold` scans
@@ -455,12 +470,17 @@ class TestClosedForms:
         reports = [report(ModelParams(a, m, k)) for a in grid]
         for name in QUANTITIES:
             assert fields[name].tolist() == [getattr(rep, name) for rep in reports], name
+        # the finders' fields, which stop after the first stage
+        for name in ("D12", "Delta123"):
+            assert correlations._field(m, k, name, np.array(grid)).tolist() == fields[name].tolist(), name
+            for a in grid[::37]:
+                assert correlations._field(m, k, name, a) == closed_forms(a, m, k)[name], (name, a)
         if k == 1:
             # the finders' field on a grid that straddles the degenerate switch
             grid = peak_scan_grid(lo=0.0, hi=4.0 * DEGENERATE_ALPHA2)
             reports = [report(ModelParams(a, m, k)) for a in grid]
             for name in W_LIMIT_FIELDS:
-                scanned = correlations._field(m, k, QUANTITIES.index(name), np.array(grid)).tolist()
+                scanned = correlations._field(m, k, name, np.array(grid)).tolist()
                 assert scanned == [getattr(rep, name) for rep in reports], name
 
     def test_float_call_equals_report(self):
