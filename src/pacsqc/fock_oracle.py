@@ -19,11 +19,11 @@ calls, validating each stack of densities once; the one-object functions,
 `coherent_vector` and `add_photons` included, run the same kernels on a
 stack of one.  The discord minimizer works on the real Bloch form
 (r, s, T) of each 4x4 density, where the conditional entropy depends on the
-direction n only through n.r, n.(T s) and n^T T T^T n: a pass over 497
-grid directions, spaced pi/32 in theta and pi/16 in phi with x-hat, y-hat
-and z-hat among them, finds each basin, Newton steps with a closed-form
-chart gradient and Hessian refine it, and 9x9 zoom-stencil rounds are the
-safeguard for a density Newton cannot finish.
+direction n only through n.r and the conditional Bloch vectors s +- T^T n:
+a pass over 497 grid directions, spaced pi/32 in theta and pi/16 in phi
+with x-hat, y-hat and z-hat among them, picks each start, and Riemannian
+Newton on the sphere refines it, with one evaluator for the value, its
+gradient and Hessian, and one safeguard (see `discord_numeric`).
 """
 
 import math
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .special import binary_entropy
+from .special import _binary_entropy_array
 from .states import ModelParams, _require_regular
 from .correlations import report
 
@@ -379,60 +379,37 @@ def build_bell_pair(params, nmax=None):
     return DensityMatrix(_cat_projectors([params], nmax)[1][0], (2, 2))
 
 
-def _monomials(x, y, z):
-    """The terms (1, n_i, n_i^2, 2 n_i n_j) through which the conditional
-    entropy depends on the direction n = (x, y, z), stacked on axis -2."""
-    return np.stack([np.ones_like(x), x, y, z, x * x, y * y, z * z, 2.0 * x * y, 2.0 * x * z, 2.0 * y * z], axis=-2)
-
-
-def _features(theta, phi):
-    """`_monomials` on each row's (theta, phi) product grid: theta (B, a)
-    and phi (B, b) give (B, 10, a * b), theta-major."""
-    sin_t, size = np.sin(theta)[:, :, None], (len(theta), theta.shape[1] * phi.shape[1])
-    x = (sin_t * np.cos(phi)[:, None, :]).reshape(size)
-    y = (sin_t * np.sin(phi)[:, None, :]).reshape(size)
-    return _monomials(x, y, np.repeat(np.cos(theta), phi.shape[1], axis=1))
-
-
-# The basin grid's spacing in theta; phi takes steps of twice it.
-_GRID_STEP = math.pi / 32.0
-
-
 def _basin_grid():
-    """Features (10, 497) and frames (497, 3, 3) of the basin grid's
-    directions, theta = i pi/32 (i = 0..16) by phi = j pi/16 (j = 0..31).
+    """The terms (1, n_i, n_i^2, 2 n_i n_j) through which the conditional
+    entropy depends on the direction n, for each direction of the basin
+    grid, theta = i pi/32 (i = 0..16) by phi = j pi/16 (j = 0..31): (10, 497).
 
     The directions n and -n are one measurement with its two outcomes
     swapped, so each appears once: the pole, the rows 0 < theta < pi/2
     whole and the equator for phi < pi.  Every sine and cosine is read from
     one table of sin(k pi/32), so x-hat, y-hat and z-hat are grid points
     with exact zeros and ones; x-hat is the optimal measurement of the
-    X-shaped reductions (see `states`) at every verify-grid density.  The
-    frame [n, phi-hat, n x phi-hat = -theta-hat] of each direction n
-    carries the chart point (pi/2, 0) onto n, with chart steps along
-    theta-hat and phi-hat; n = frame^T n' turns n.r into n'.(frame r) and
-    T^T n into (frame T)^T n'.
+    X-shaped reductions (see `states`) at every verify-grid density, one of
+    the candidate optima of two-qubit X states (Ali, Rau & Alber, PRA 81,
+    042105 (2010)).
     """
-    quarter = np.sin(np.arange(17) * _GRID_STEP)
+    quarter = np.sin(np.arange(17) * math.pi / 32.0)
     sines = np.concatenate([quarter, quarter[15:0:-1], -quarter, -quarter[15:0:-1]])  # k = 0..63
     theta = np.concatenate([[0], np.repeat(np.arange(1, 16), 32), np.full(16, 16)])
     phi = np.concatenate([[0], np.tile(np.arange(0, 64, 2), 15), np.arange(0, 32, 2)])
-    sin_t, cos_t, sin_p, cos_p = sines[theta], sines[theta + 16], sines[phi], sines[(phi + 16) % 64]
-    features = _monomials(sin_t * cos_p, sin_t * sin_p, cos_t)
-    frames = np.zeros((len(theta), 3, 3))
-    frames[:, 0] = features[1:4].T
-    frames[:, 1, :2] = np.column_stack([-sin_p, cos_p])
-    frames[:, 2] = np.cross(frames[:, 0], frames[:, 1])
-    return features, frames
+    sin_t, z, sin_p, cos_p = sines[theta], sines[theta + 16], sines[phi], sines[(phi + 16) % 64]
+    x, y = sin_t * cos_p, sin_t * sin_p
+    return np.stack([np.ones_like(x), x, y, z, x * x, y * y, z * z, 2.0 * x * y, 2.0 * x * z, 2.0 * y * z])
 
 
-_GRID_FEATURES, _GRID_FRAMES = _basin_grid()
+_GRID_FEATURES = _basin_grid()
 # Densities per grid-pass chunk (results do not depend on it): the largest
 # temporaries, the (16, 3, 497) product and the two outcomes, hold 186 KB and
 # 124 KB.  On the default verify grid's 800 densities, chunks of 4, 8, 16, 32
 # and 64 took 30-46, 25-35, 21-28, 43-66 and 22-30 us per density over three
 # runs (one core, 2-vCPU x86 VM).
 _GRID_CHUNK = 16
+_OUTCOME_SIGNS = np.array([1.0, -1.0])
 
 
 def _coefficients(corr):
@@ -456,9 +433,10 @@ def _conditional_entropy(abu):
     Outcome +- occurs with weight p = (1 +- n.r)/2 and leaves the
     conditional Bloch vector v = (s +- T^T n)/2, with |v|^2 =
     (|s|^2 + n^T T T^T n +- 2 n.(T s))/4; the unnormalized state has
-    eigenvalues (p +- |v|)/2.
+    eigenvalues (p +- |v|)/2.  The expansion loses digits where v is short,
+    so this form only ranks the grid directions.
     """
-    signs = np.array([1.0, -1.0])[:, None, None]
+    signs = _OUTCOME_SIGNS[:, None, None]
     p = 0.5 + 0.5 * signs * abu[:, 0]
     v = 0.5 * np.sqrt(np.maximum(abu[:, 2] + 2.0 * signs * abu[:, 1], 0.0))
     # p S(rho/p) = p log2 p - sum_i lam_i log2 lam_i  (lam unnormalized)
@@ -466,177 +444,115 @@ def _conditional_entropy(abu):
     return total[0] + total[1]
 
 
-# Newton refinement, in the chart of each density whose point (pi/2, 0) is
-# its grid minimum.  The direction n(theta, phi) and its chart derivatives
-# (n, n_t, n_p, n_tt, n_tp, n_pp) are linear in the six products
-# q = (sin t, cos t) x (cos p, sin p, 1); each triple below lists one
-# derivative's components as signed 1-based indices into q (0 for zero).
-_CHART = np.zeros((6, 18))
-for _column, _term in enumerate(np.ravel([(1, 2, 6), (4, 5, -3), (-2, 1, 0), (-1, -2, -6), (-5, 4, 0), (-1, -2, 0)])):
-    if _term:
-        _CHART[abs(_term) - 1, _column] = math.copysign(1.0, _term)
-# sin(x @ _TRIG_SELECT + _TRIG_SHIFT) = (sin t, cos t, cos p, sin p, 1)
-_TRIG_SELECT = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 0.0]])
-_TRIG_SHIFT = np.array([0.0, 0.5 * math.pi, 0.5 * math.pi, 0.0, 0.5 * math.pi])
-# With Q[i, j] = (T^T n_i).(T^T n_j) (n_0 = n, n_1 = n_t, ...), the chart
-# derivatives of u = |s|^2 + |T^T n|^2 are u_t = 2 Q10, u_p = 2 Q20,
-# u_tt = 2 (Q30 + Q11), u_tp = 2 (Q40 + Q12) and u_pp = 2 (Q50 + Q22);
-# rows index Q row-major.
-_QUADRATIC = np.zeros((18, 5))
-_QUADRATIC[[3, 6, 9, 4, 12, 5, 15, 8], [0, 1, 2, 2, 3, 3, 4, 4]] = 2.0
-# (n_i.r/2, 2 n_i.(T s), u_i) -> the derivatives of (p+, w+, p-, w-): the
-# outcome weights p = (1 +- n.r)/2 and w = 4 v^2 = u +- 2 n.(T s), v the
-# length of the conditional Bloch vector (s +- T^T n)/2
-_MIX = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0], [0.0, 1.0, 0.0, 1.0]])
-_OUTCOME_SIGNS = np.array([[1.0], [-1.0]])
-# Newton's closed forms hold while the smaller conditional eigenvalue
-# lam- = (p - v)/2 stays above _LAMBDA_FLOOR (x log x is not smooth at 0)
-# and v above _RATIO_FLOOR p (v = sqrt(w)/2 is not smooth at 0: the chain
+# Riemannian Newton on the unit sphere of measurement directions (Absil,
+# Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
+# ch. 6).  Its closed forms hold while lam- stays above _LAMBDA_FLOOR
+# (x log x is not smooth at 0: a pure conditional state) and v above
+# _RATIO_FLOOR p (v is not smooth at b = 0: a maximally mixed one; the chain
 # rule divides by v, and the gradient's rounding grows like eps p/v, to
-# ~1e-9 at the floor).  (p, v) @ _SPECTRUM = (p, lam+, lam-, v - _RATIO_FLOOR p).
-#
-# Stack independence: a 2-D product with a constant map, whose rows are the
-# stack, takes a kernel that depends on the stack size, so those maps
-# (_CHART, _TRIG_SELECT, _QUADRATIC, _BLOCK, _SYMMETRIC, _ADJUGATE) are
-# exact or round once; every other product is batched, which numpy takes
-# one density at a time.
+# ~1e-9 at the floor).
 _LAMBDA_FLOOR = 1e-30
 _RATIO_FLOOR = 2.0 ** -20
-_SPECTRUM = np.array([[1.0, 0.5, 0.5, -_RATIO_FLOOR], [0.0, 0.5, -0.5, 1.0]])
-_FLOORS = np.array([_LAMBDA_FLOOR, 0.0])
-_SAFE_SPECTRUM = np.array([1.0, 0.75, 0.25])
-# (log2 lam, 1/(lam ln 2)) -> the derivatives (f_p, f_v, f_pp, f_pv, f_vv)
-# of f = p log2 p - lam+ log2 lam+ - lam- log2 lam- in p and v (x log2 x
-# has slope log2 x + 1/ln 2 and curvature 1/(x ln 2))
-_PARTIALS = np.zeros((6, 5))
-_PARTIALS[:3, :2] = [[1.0, 0.0], [-0.5, -0.5], [-0.5, 0.5]]
-_PARTIALS[3:, 2:] = [[1.0, 0.0, 0.0], [-0.25, -0.25, -0.25], [-0.25, 0.25, -0.25]]
-_INVERSE_LN2 = 1.0 / math.log(2.0)
-_W_POWERS = np.array([0, 1, 0, 1, 2])
-# (f_pp, f_pw, f_ww) of both outcomes -> the block-diagonal (B, 4, 4) outer
-# Hessian in (p+, w+, p-, w-); rows of Hessian entries (t t, t p, p t, p p)
-# from the second-derivative terms; the adjugate of a flattened 2x2 matrix
-_BLOCK = np.zeros((6, 16))
-_BLOCK[[0, 1, 1, 2, 3, 4, 4, 5], [0, 1, 4, 5, 10, 11, 14, 15]] = 1.0
-_SYMMETRIC = np.zeros((5, 4))
-_SYMMETRIC[[2, 3, 3, 4], [0, 1, 2, 3]] = 1.0
-_ADJUGATE = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-# A density stops once the predicted decrease of a Newton step is below
-# eps (in bits, the conditional entropy being at most 1): the step could no
-# longer move the value.  A step that does not lower the value is a stop
-# too when it predicted at most _STALL, rounding's reach, and otherwise a
-# fall back to the stencil; so is a density still moving after _NEWTON_CAP
-# iterations (verify-grid densities take 0, seeded random ones 0-6).
+# A density stops once the predicted decrease of its next trial step is
+# below eps (in bits, the conditional entropy being at most 1), whatever the
+# sign of H: the step could no longer move the value.  _NEWTON_CAP bounds the
+# trials (verify-grid densities take 0, seeded random ones up to 7).
 _EPS = 2.0 ** -52
-_STALL = 16.0 * _EPS
-_NEWTON_CAP = 30
+_NEWTON_CAP = 50
 
 
-def _newton_terms(frame, s, x):
-    """Newton data at the chart points x = (theta, phi) (B, 2), for the
-    chart-frame Bloch data ``frame`` = [r/2, 2 T s, T] (B, 3, 5) and ``s``
-    (B, 3): the conditional entropy, its chart gradient, the Newton step
-    -H^-1 g with its predicted decrease g^T H^-1 g / 2, and whether the step
-    is usable: the closed forms hold (see _LAMBDA_FLOOR) and the Hessian H
-    is positive definite.  Where it is not, step and decrease are finite
-    but meaningless; where the closed forms fail, the gradient is nan (the
-    value holds everywhere, with 0 log 0 = 0).
+def _newton_steps(gradient, hessian):
+    """Tangent steps -(H + mu I)^-1 g (B, 2) for Riemannian gradients g and
+    Hessians H in a tangent basis, with their predicted decreases
+    g^T (H + mu I)^-1 g / 2.  mu = 0 where H is positive definite, and
+    |g| - 2 lambda_min(H) elsewhere: H + mu I is then positive definite with
+    eigenvalues of at least |g|, so the step stays within unit length, and a
+    gradient at rounding's level predicts a decrease of its square, not of
+    itself."""
+    g0, g1 = gradient[:, 0], gradient[:, 1]
+    h00, h01, h11 = hessian[:, 0, 0], 0.5 * (hessian[:, 0, 1] + hessian[:, 1, 0]), hessian[:, 1, 1]
+    least = 0.5 * (h00 + h11) - np.hypot(0.5 * (h00 - h11), h01)
+    shift = np.where(least > 0.0, 0.0, np.hypot(g0, g1) - 2.0 * least)
+    h00, h11 = h00 + shift, h11 + shift
+    det = h00 * h11 - h01 * h01
+    # H + mu I is singular only at g = 0 or by rounding: no step there
+    det = np.where(det > 0.0, det, np.inf)
+    step = np.stack([h01 * g1 - h11 * g0, h01 * g0 - h00 * g1], axis=1) / det[:, None]
+    return step, -0.5 * (g0 * step[:, 0] + g1 * step[:, 1])
 
-    The entropy depends on n only through n.r, n.(T s) and n^T T T^T n,
-    so one product of the chart derivatives of n with the frame gives the
-    chart derivatives of the outcome weights p and of w = 4 v^2, and the
-    chain rule through x log2 x does the rest.
+
+def _newton_terms(corr, n):
+    """Newton data at the unit directions n (B, 3) for the (B, 4, 4) stack
+    ``corr`` of Pauli correlation matrices (see `_bloch`): the conditional
+    entropy, the Riemannian gradient norm, the Riemannian Hessian (B, 2, 2)
+    in a tangent basis, the step of `_newton_steps` as a tangent vector
+    (B, 3) with its predicted decrease, and whether the closed forms hold
+    (see _LAMBDA_FLOOR).  The value holds everywhere (0 log 0 = 0); the
+    rest is finite, and meaningless where the forms fail.
+
+    With the weights p and conditional Bloch vectors b = s +- T^T n of
+    `_conditional_entropy`, v = |b|/2 is read from b itself, which keeps the
+    digits that the expansion cancels away.  Each outcome adds
+    f(p, v) = p log2 p - lam+ log2 lam+ - lam- log2 lam-, lam+- = (p +- v)/2,
+    whose Euclidean derivatives in n follow from dp = +- r/2,
+    dv = +- T b/(4 v) and d2v = (T T^T - 4 dv dv^T)/(4 v).  The Riemannian
+    gradient is P grad f and the Riemannian Hessian
+    P (hess f - (n.grad f) I) P, with P = I - n n^T.
     """
-    count = len(x)
-    trig = np.sin(x @ _TRIG_SELECT + _TRIG_SHIFT)
-    n = ((trig[:, :2, None] * trig[:, None, 2:]).reshape(count, 6) @ _CHART).reshape(count, 6, 3)
-    linear = n @ frame
-    turned = linear[:, :, 2:]
-    quadratic = (turned @ turned[:, :3].transpose(0, 2, 1)).reshape(count, 18) @ _QUADRATIC
-    # rows d_t, d_p, d_tt, d_tp, d_pp; columns p+, w+, p-, w-
-    terms = np.concatenate([linear[:, 1:, :2], quadratic[:, :, None]], axis=2) @ _MIX
-    # v from the conditional Bloch vectors themselves, whose length keeps
-    # the digits that u +- 2 n.(T s) cancels away
-    bloch = s[:, None, :] + _OUTCOME_SIGNS * turned[:, :1]
-    pv = np.empty((count, 2, 2))
-    pv[:, :, 0] = 0.5 + _OUTCOME_SIGNS[:, 0] * linear[:, 0, :1]
-    pv[:, :, 1] = 0.5 * np.sqrt((bloch * bloch).sum(axis=2))
-    spectrum = pv @ _SPECTRUM
-    entropy = _xlog2x(spectrum[:, :, :3])
+    r, s, tensor = corr[:, 1:, 0], corr[:, 0, 1:], corr[:, 1:, 1:]
+    bloch = s[:, None, :] + _OUTCOME_SIGNS[:, None] * (n[:, None, :] @ tensor)
+    p = 0.5 + 0.5 * _OUTCOME_SIGNS * (n * r).sum(axis=1)[:, None]
+    v = 0.5 * np.sqrt((bloch * bloch).sum(axis=2))
+    lam = np.stack([p, 0.5 * (p + v), 0.5 * (p - v)], axis=2)
+    entropy = _xlog2x(lam)
     value = (entropy[:, :, 0] - entropy[:, :, 1] - entropy[:, :, 2]).sum(axis=1)
-    valid = (spectrum[:, :, 2:] > _FLOORS).all(axis=(1, 2))
-    lam = np.where(valid[:, None, None], spectrum[:, :, :3], _SAFE_SPECTRUM)
-    logs = np.log2(lam)
-    # per outcome (f_p, f_v, f_pp, f_pv, f_vv), then in w = 4 v^2 with
-    # e = 1/(8 v): f_w = f_v e, f_pw = f_pv e, f_ww = (f_vv - 8 f_v e) e^2
-    partial = np.concatenate([logs, _INVERSE_LN2 / lam], axis=2) @ _PARTIALS
-    e = 0.125 / (lam[:, :, 1:2] - lam[:, :, 2:])
-    partial *= e ** _W_POWERS
-    partial[:, :, 4:] -= 8.0 * partial[:, :, 1:2] * e * e
-    # gradient and Hessian by the chain rule through (p+, w+, p-, w-)
-    linear_part = (terms.reshape(count, 5, 4) @ partial[:, :, :2].reshape(count, 4, 1))[:, :, 0]
-    slopes = terms[:, :2]
-    block = (partial[:, :, 2:].reshape(count, 6) @ _BLOCK).reshape(count, 4, 4)
-    hessian = slopes @ block @ slopes.transpose(0, 2, 1) + (linear_part @ _SYMMETRIC).reshape(count, 2, 2)
-    gradient = linear_part[:, :2]
-    det = hessian[:, 0, 0] * hessian[:, 1, 1] - hessian[:, 0, 1] * hessian[:, 1, 0]
-    usable = valid & (hessian[:, 0, 0] > 0.0) & (det > 0.0)
-    step = ((hessian.reshape(count, 4) @ _ADJUGATE).reshape(count, 2, 2) @ gradient[:, :, None])[:, :, 0]
-    step /= -np.where(usable, det, 1.0)[:, None]
-    decrease = -0.5 * (gradient * step).sum(axis=1)
-    return value, np.where(valid[:, None], gradient, np.nan), step, decrease, usable
+    valid = ((lam[:, :, 2] > _LAMBDA_FLOOR) & (v > _RATIO_FLOOR * p)).all(axis=1)
+    # elsewhere the derivatives are taken at a harmless (p, lam+, lam-) and discarded
+    lam = np.where(valid[:, None, None], lam, [1.0, 0.75, 0.25])
+    v = lam[:, :, 1] - lam[:, :, 2]
+    # x log2 x has slope log2 x + 1/ln 2 and curvature 1/(x ln 2), so f has
+    # f_p = log2 p - log2(lam+ lam-)/2, f_v = log2(lam-/lam+)/2 and
+    # f_pp = c_p - (c+ + c-)/4, f_pv = (c- - c+)/4, f_vv = -(c+ + c-)/4
+    logs, curvature = np.log2(lam), 1.0 / (math.log(2.0) * lam)
+    f_p = logs[:, :, 0] - 0.5 * (logs[:, :, 1] + logs[:, :, 2])
+    f_v = 0.5 * (logs[:, :, 2] - logs[:, :, 1])
+    outer = np.empty(v.shape + (2, 2))
+    outer[..., 0, 0] = curvature[:, :, 0] - 0.25 * (curvature[:, :, 1] + curvature[:, :, 2])
+    outer[..., 0, 1] = outer[..., 1, 0] = 0.25 * (curvature[:, :, 2] - curvature[:, :, 1])
+    # the d2v term's -4 dv dv^T part joins the (v, v) entry
+    outer[..., 1, 1] = -0.25 * (curvature[:, :, 1] + curvature[:, :, 2]) - f_v / v
+    dp = _OUTCOME_SIGNS[:, None] * (0.5 * r)[:, None, :]
+    dv = _OUTCOME_SIGNS[:, None] * (bloch @ np.swapaxes(tensor, 1, 2)) / (4.0 * v)[:, :, None]
+    slopes = np.stack([dp, dv], axis=2)
+    gradient = (f_p[:, :, None] * dp + f_v[:, :, None] * dv).sum(axis=1)
+    hessian = (np.swapaxes(slopes, 2, 3) @ outer @ slopes).sum(axis=1)
+    hessian += (f_v / (4.0 * v)).sum(axis=1)[:, None, None] * (tensor @ np.swapaxes(tensor, 1, 2))
+    # tangent bases by the branch-free construction of Duff et al.,
+    # J. Comput. Graph. Tech. 6(1), 2017, which holds at every unit n
+    x, y, z = n[:, 0], n[:, 1], n[:, 2]
+    sign = np.where(z < 0.0, -1.0, 1.0)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    bases = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x, b, sign + y * y * a, -y], axis=1).reshape(-1, 2, 3)
+    tangent_gradient = (bases @ gradient[:, :, None])[:, :, 0]
+    tangent_hessian = bases @ hessian @ np.swapaxes(bases, 1, 2)
+    tangent_hessian -= (n * gradient).sum(axis=1)[:, None, None] * np.eye(2)
+    step, decrease = _newton_steps(tangent_gradient, tangent_hessian)
+    norm = np.hypot(tangent_gradient[:, 0], tangent_gradient[:, 1])
+    return value, norm, tangent_hessian, (step[:, None, :] @ bases)[:, 0], decrease, valid
 
 
-# Stencil safeguard, for the densities Newton leaves: each round evaluates a
-# 9x9 stencil spanning +- the density's (theta, phi) half-widths, which
-# start at one grid step.  A round whose best point improves on the centre
-# from the outer ring `_EDGE` keeps them, as the minimum may lie beyond the
-# ring; every other round shrinks them 4x.  A density stops once both are
-# <= 1.5e-8 rad (about sqrt(eps): a smooth minimum's value error, about
-# H h^2, is then below eps) or after _MAX_ROUNDS rounds (a narrow curved
-# valley can take ~300).
-_STENCIL = np.arange(-4, 5) / 4.0
-_EDGE = ((np.abs(_STENCIL[:, None]) == 1.0) | (np.abs(_STENCIL) == 1.0)).ravel()
-_FIRST_HALF_WIDTHS = np.array([_GRID_STEP, 2.0 * _GRID_STEP])
-_STOP_HALF_WIDTH = 1.5e-8
-_MAX_ROUNDS = 500
-
-
-def _stencil_rounds(local, centre, least):
-    """Zoom the stencil from the chart points ``centre`` (B, 2) with values
-    ``least`` for the (B, 3, 10) feature maps ``local``; returns the new
-    values and centres, the rounds taken and whether a density stopped on
-    _MAX_ROUNDS.  A centre moves only when its stencil improves on it."""
-    rows, live = np.arange(len(local)), np.ones(len(local), dtype=bool)
-    half, rounds = np.tile(_FIRST_HALF_WIDTHS, (len(local), 1)), np.zeros(len(local), dtype=int)
-    for _ in range(_MAX_ROUNDS):
-        grid = centre[:, :, None] + half[:, :, None] * _STENCIL
-        values = _conditional_entropy(np.matmul(local, _features(grid[:, 0], grid[:, 1])))
-        pick = np.argmin(values, axis=1)
-        low = values[rows, pick]
-        better = live & (low < least)
-        least = np.where(better, low, least)
-        i, j = np.divmod(pick, _STENCIL.size)
-        centre = np.where(better[:, None], np.column_stack([grid[rows, 0, i], grid[rows, 1, j]]), centre)
-        half = half * np.where(better & _EDGE[pick], 1.0, np.where(live, 0.25, 1.0))[:, None]
-        rounds += live
-        live &= np.max(half, axis=1) > _STOP_HALF_WIDTH
-        if not live.any():
-            break
-    return least, centre, rounds, live
-
-
-# How a density's refinement ended (`_Minima.flag`)
-_NEWTON, _STENCIL_FALLBACK, _CAPPED = 0, 1, 2
+_CONVERGED, _AT_FLOOR, _CAPPED = 0, 1, 2
 
 
 class _Minima(NamedTuple):
-    """Per-density results of `_min_conditional_entropy`: the minimum, the
-    Newton iterations plus stencil rounds taken, the tangent-gradient norm
-    at the landing point (nan where the closed forms do not hold there),
-    how the refinement ended: _NEWTON, _STENCIL_FALLBACK (fell back to the
-    stencil safeguard) or _CAPPED (the stencil stopped on _MAX_ROUNDS), and
-    the landing point's unit Bloch direction (B, 3)."""
+    """Per-density results of `_refine`: the minimum, which is
+    `_newton_terms`' value at the landing direction, the trial steps taken,
+    the Riemannian gradient norm there (nan where the closed forms do not
+    hold), how the refinement ended (_CONVERGED: the predicted decrease fell
+    below eps; _AT_FLOOR: the closed forms fail at the landing direction, a
+    pure or maximally mixed conditional state; _CAPPED: _NEWTON_CAP trials
+    were spent) and the landing direction, a unit Bloch vector (B, 3)."""
 
     value: np.ndarray
     iterations: np.ndarray
@@ -645,73 +561,53 @@ class _Minima(NamedTuple):
     direction: np.ndarray
 
 
+def _refine(corr, n):
+    """Riemannian Newton from the unit directions n (B, 3) for the (B, 4, 4)
+    stack ``corr`` of Pauli correlation matrices (see `_bloch`), as `_Minima`.
+
+    A trial moves n by t times its step xi and retracts onto the sphere by
+    n <- (n + t xi)/|n + t xi|.  A trial that lowers the value is taken,
+    with t back at 1; any other halves t, which scales the predicted
+    decrease by t (2 - t).  Every product is taken per density, so no
+    result depends on the rest of the stack.
+    """
+    n = np.array(n, dtype=float)
+    value, norm, _, step, decrease, valid = terms = _newton_terms(corr, n)
+    scale, iterations = np.ones(len(n)), np.zeros(len(n), dtype=int)
+    live = valid & (decrease > _EPS)
+    for _ in range(_NEWTON_CAP):
+        index = np.flatnonzero(live)
+        if not index.size:
+            break
+        trial = n[index] + scale[index, None] * step[index]
+        trial /= np.sqrt((trial * trial).sum(axis=1))[:, None]
+        trial_terms = _newton_terms(corr[index], trial)
+        iterations[index] += 1
+        lower = trial_terms[0] < value[index]
+        n[index[lower]] = trial[lower]
+        for term, trial_term in zip(terms, trial_terms):
+            term[index[lower]] = trial_term[lower]
+        scale[index] = np.where(lower, 1.0, 0.5 * scale[index])
+        live[index] = valid[index] & (decrease[index] * scale[index] * (2.0 - scale[index]) > _EPS)
+    flag = np.where(valid, np.where(live, _CAPPED, _CONVERGED), _AT_FLOOR)
+    return _Minima(value, iterations, np.where(valid, norm, np.nan), flag, n)
+
+
 def _min_conditional_entropy(corr):
     """Minimum conditional entropy over measurement directions for each
     density of the (B, 4, 4) stack ``corr`` of Pauli correlation matrices
-    (measured qubit first, see `_bloch`), as `_Minima`.  Every product is
-    taken per density and every update is masked per density, so no result
-    depends on the rest of the stack.
+    (measured qubit first, see `_bloch`), as `_Minima`.
 
-    A pass over the basin grid (`_basin_grid`) finds each density's basin,
-    and its minimum is rotated onto the equator of a local chart, away from
-    the chart poles, where phi steps shrink to nothing.  A grid minimum
-    within _STALL of 0, the least a conditional entropy can be, is final.
-    Otherwise Newton steps in the chart follow (`_newton_terms`); where the
-    minimum is a grid point, as x-hat mostly is for the reductions, the
-    first predicted decrease is below eps and no step is taken.  A density
-    whose Hessian is not positive definite, whose step does not lower the
-    value, whose closed forms fail or which is still moving after
-    _NEWTON_CAP iterations falls back to stencil rounds from its best
-    point.  Only steps that lower the value move a density, so no result
-    exceeds the grid minimum.
+    A pass over the basin grid (`_basin_grid`) in the cheap expanded form
+    of `_conditional_entropy` picks each start direction, and `_refine`
+    takes it from there with the accurate evaluator `_newton_terms`, which
+    alone gives the reported values.
     """
-    coeffs, rows = _coefficients(corr), np.arange(len(corr))
-    pick, best = np.empty(len(corr), dtype=int), np.empty(len(corr))
+    pick = np.empty(len(corr), dtype=int)
     for start in range(0, len(corr), _GRID_CHUNK):
         chunk = slice(start, start + _GRID_CHUNK)
-        values = _conditional_entropy(np.matmul(coeffs[chunk], _GRID_FEATURES))
-        pick[chunk] = np.argmin(values, axis=1)
-        best[chunk] = values[rows[: len(values)], pick[chunk]]
-    rotated = corr.copy()
-    rotated[:, 1:] = _GRID_FRAMES[pick] @ corr[:, 1:]
-    r, s, tensor = rotated[:, 1:, :1], rotated[:, :1, 1:], rotated[:, 1:, 1:]
-    frame = np.concatenate([0.5 * r, 2.0 * (tensor @ s.transpose(0, 2, 1)), tensor], axis=2)
-    s = s[:, 0]
-
-    point = np.tile([0.5 * math.pi, 0.0], (len(corr), 1))
-    value, gradient, step, decrease, usable = _newton_terms(frame, s, point)
-    live, fallback = best > _STALL, np.zeros(len(corr), dtype=bool)
-    iterations = np.zeros(len(corr), dtype=int)
-    for _ in range(_NEWTON_CAP):
-        fallback |= live & ~usable
-        live &= usable & (decrease > _EPS)
-        if not live.any():
-            break
-        trial = point + np.where(live[:, None], step, 0.0)
-        t_value, t_gradient, t_step, t_decrease, t_usable = _newton_terms(frame, s, trial)
-        iterations += live
-        lower = live & (t_value < value)
-        fallback |= live & ~lower & (decrease > _STALL)
-        live = lower
-        moved = lower[:, None]
-        point, gradient = np.where(moved, trial, point), np.where(moved, t_gradient, gradient)
-        step, value = np.where(moved, t_step, step), np.where(lower, t_value, value)
-        decrease, usable = np.where(lower, t_decrease, decrease), np.where(lower, t_usable, usable)
-    else:
-        fallback |= live
-    flag = np.where(fallback, _STENCIL_FALLBACK, _NEWTON)
-    if fallback.any():
-        index = np.flatnonzero(fallback)
-        least, centre, rounds, capped = _stencil_rounds(_coefficients(rotated[index]), point[index], value[index])
-        value[index], point[index] = least, centre
-        iterations[index] += rounds
-        flag[index[capped]] = _CAPPED
-        gradient[index] = _newton_terms(frame[index], s[index], centre)[1]
-    sin_t = np.sin(point[:, 0])
-    norm = np.hypot(gradient[:, 0], gradient[:, 1] / sin_t)
-    chart = np.column_stack([sin_t * np.cos(point[:, 1]), sin_t * np.sin(point[:, 1]), np.cos(point[:, 0])])
-    direction = (np.swapaxes(_GRID_FRAMES[pick], 1, 2) @ chart[:, :, None])[:, :, 0]
-    return _Minima(np.minimum(value, best), iterations, norm, flag, direction)
+        pick[chunk] = np.argmin(_conditional_entropy(np.matmul(_coefficients(corr[chunk]), _GRID_FEATURES)), axis=1)
+    return _refine(corr, _GRID_FEATURES[1:4, pick].T)
 
 
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -721,11 +617,13 @@ def _bloch(data, measured):
     """Pauli correlation matrices R[mu, nu] = Tr[rho (sigma_mu x sigma_nu)]
     (sigma_0 = 1) of a (B, 4, 4) stack, with the ``measured`` qubit as the
     first factor: R[i, 0] = r_i and R[0, j] = s_j are the local Bloch
-    vectors, R[i, j] = T_ij."""
+    vectors, R[i, j] = T_ij.  The result is contiguous, as are the subsets
+    the refinement takes of it, so every product over it runs one kernel
+    (numpy's strided loop for a view, BLAS for contiguous rows)."""
     tensor = data.reshape(len(data), 2, 2, 2, 2)
     if measured == 1:
         tensor = tensor.transpose(0, 2, 1, 4, 3)
-    return np.einsum("zajbl,mba,nlj->zmn", tensor, _PAULI, _PAULI).real
+    return np.ascontiguousarray(np.einsum("zajbl,mba,nlj->zmn", tensor, _PAULI, _PAULI).real)
 
 
 def discord_numeric(rho, measured=0):
@@ -734,15 +632,13 @@ def discord_numeric(rho, measured=0):
 
     ``rho`` is one two-qubit DensityMatrix, giving a float, or a sequence of
     them, giving a list of floats from one stacked minimization.  The
-    conditional entropy is minimized on a grid of 497 directions that holds
-    the three axes, then by Newton steps from the grid minimum until a step
-    could no longer move the value (about eps; the oracle's X-shaped
-    reductions mostly have their minimum at x-hat and take no step); a
-    grid minimum within rounding of 0 is final, and a density whose Hessian
-    is not positive definite, whose step does not lower the value or whose
-    conditional state has an eigenvalue near 0 falls back to 9x9 stencil
-    rounds that stop at 1.5e-8 rad.  The result is S_measured - S_joint +
-    that minimum, never above the grid's.
+    conditional entropy is minimized over the measurement direction on the
+    unit sphere: a grid of 497 directions that holds the three axes picks
+    each start, and Riemannian Newton refines it until a step could no
+    longer move the value (about eps; the oracle's X-shaped reductions have
+    their minimum at x-hat and take no step), taking shifted steps where the
+    Hessian is not positive definite and only steps that lower the value.
+    The result is S_measured - S_joint + that minimum.
     """
     single = isinstance(rho, DensityMatrix)
     densities = [rho] if single else list(rho)
@@ -805,9 +701,11 @@ class VerificationRecord:
         return True
 
 
-def _eof(concurrence):
-    c = min(max(float(concurrence), 0.0), 1.0)
-    return binary_entropy(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
+def _eofs(concurrences):
+    """Entanglement of formation H(1/2 + sqrt(1 - C^2)/2) of each element
+    of an array of concurrences, clipped to [0, 1] (which keeps 1 - C^2 >= 0)."""
+    c = np.clip(concurrences, 0.0, 1.0)
+    return _binary_entropy_array(0.5 + 0.5 * np.sqrt(1.0 - c * c))
 
 
 def verify_points(points, nmax=None):
@@ -822,12 +720,14 @@ def verify_points(points, nmax=None):
     quads = np.concatenate([pairs, bell])
     lam = _check_densities(_partial_trace(pairs, (2, 2), (0,)))
     s1, s2, s12, s23 = np.split(np.concatenate([_entropies(lam), _entropies(_check_densities(quads)[: 2 * count])]), 4)
-    c13, c23, c12 = np.split(_concurrences(quads), 3)
+    concurrences = _concurrences(quads)
+    c13, c23, c12 = np.split(concurrences, 3)
+    e13, e23, e12 = np.split(_eofs(concurrences), 3)
     d12, d23 = np.split(np.concatenate([s1 - s12, s2 - s23]) + _min_conditional_entropy(_bloch(pairs, 0)).value, 2)
     oracle = {
         "S1": s1, "S2": s2, "S12": s12, "S23": s23, "C12_conc": c12, "C23_conc": c23, "C13_conc": c13,
-        "C1_23_conc": 2.0 * np.sqrt(np.prod(np.clip(lam[:count], 0.0, None), axis=1)), "E12": [_eof(c) for c in c12],
-        "E23": [_eof(c) for c in c23], "E13": [_eof(c) for c in c13], "E1_23": s1,
+        "C1_23_conc": 2.0 * np.sqrt(np.prod(np.clip(lam[:count], 0.0, None), axis=1)),
+        "E12": e12, "E23": e23, "E13": e13, "E1_23": s1,
         "D12": d12, "D23": d23, "D1_23": s1, "Delta123": s1 - 2.0 * d12,
     }
     records = []

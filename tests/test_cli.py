@@ -373,7 +373,7 @@ class TestThresholdCommand:
         assert line.startswith("threshold m=0 k=1: alpha2* = ")
         alpha2_star = float(line.split("alpha2* = ")[1].split()[0])
         p_star = float(line.split("p* = ")[1])
-        assert alpha2_star == pytest.approx(0.1075, abs=0.002)
+        assert alpha2_star == pytest.approx(0.1078509, abs=1e-6)
         assert p_star == pytest.approx(0.806, abs=0.004)
 
     def test_monogamous_cases(self, capsys):

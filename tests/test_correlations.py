@@ -389,7 +389,7 @@ class TestReport:
 class TestViolationThreshold:
     def test_m0(self):
         root = violation_threshold(0, 1)
-        assert root == pytest.approx(0.1075, abs=0.002)
+        assert root == pytest.approx(0.1078509, abs=1e-6)
         assert math.exp(-2.0 * root) == pytest.approx(0.806, abs=0.004)
 
     def test_root_brackets_sign_change(self):

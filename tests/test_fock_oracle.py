@@ -8,7 +8,7 @@ from pacsqc.special import binary_entropy, laguerre, pacs_overlap
 from pacsqc.states import LimitRegimeError, ModelParams, ghz_rho12, ghz_rho23
 from pacsqc import correlations, fock_oracle
 from pacsqc.correlations import report
-from pacsqc.fock_oracle import _CAPPED, _NEWTON, _STENCIL_FALLBACK, _mode_pairs, _psd_sqrt, _superpositions
+from pacsqc.fock_oracle import _AT_FLOOR, _CAPPED, _CONVERGED, _mode_pairs, _psd_sqrt, _superpositions
 from pacsqc.fock_oracle import (
     FIELD_BOUNDS,
     DensityMatrix,
@@ -469,9 +469,10 @@ class TestDiscordNumeric:
     def test_stack_of_fast_and_slow_densities(self, stall_sets):
         # a pure state (zero minimum) and rho12 at alpha2 = 1, m = 1 (kappa_1
         # = 0) stop on the grid; turned off the axes by a fixed rotation of
-        # the measured qubit, that rho12's singular minimum falls back to the
-        # stencil and takes more iterations than its Newton stack-mates; each
-        # density still lands, and counts, as it does alone
+        # the measured qubit, that rho12's singular zero minimum takes more
+        # trial steps than its stack-mates and stops where its conditional
+        # states turn pure; each density still lands, and counts, as it
+        # does alone
         rho12 = [partial_trace(build_tripartite(ModelParams(1.0, 1, k)), (0, 1)) for k in (0, 1)]
         stack = [partial_trace(build_tripartite(ModelParams(1.3, 2, 0)), (0, 1)), stall_sets[1][0]]
         stack += [turned(rho, 0.5, 0.7) for rho in rho12] + rho12
@@ -485,22 +486,31 @@ class TestDiscordNumeric:
         for field, values in zip(stacked._fields, stacked):
             assert np.array_equal(values, np.concatenate([getattr(m, field) for m in single]), equal_nan=True), field
         assert discord_numeric(stack) == [discord_numeric(rho) for rho in stack]
-        newton, fallen = stacked.flag == _NEWTON, stacked.flag == _STENCIL_FALLBACK
-        assert list(np.flatnonzero(fallen)) == [2, 3] and not np.any(stacked.flag == _CAPPED)
-        assert stacked.iterations[newton].max() <= 9 < stacked.iterations[fallen].min()
+        converged, floor = stacked.flag == _CONVERGED, stacked.flag == _AT_FLOOR
+        assert list(np.flatnonzero(floor)) == [1, 2, 3] and not np.any(stacked.flag == _CAPPED)
+        assert stacked.iterations[converged].max() < stacked.iterations[[2, 3]].min()
         assert list(stacked.iterations[[1, 4, 5]]) == [0, 0, 0]
-        # the pure state's conditional states are pure, where the closed
-        # forms behind the gradient do not hold
-        assert np.all(np.delete(stacked.gradient_norm, 1)[np.delete(newton, 1)] < 1e-6)
+        assert np.all(np.abs(stacked.value[[2, 3]]) <= 1e-12)
+        # the closed forms behind the gradient do not hold at pure
+        # conditional states
+        assert np.all(stacked.gradient_norm[converged] < 1e-6) and np.all(np.isnan(stacked.gradient_norm[floor]))
 
     def test_rank_one_densities_stop_on_the_grid(self, stall_sets):
-        # every conditional state of a pure density is pure: the grid
-        # minimum is 0 within rounding, and neither Newton nor the stencil runs
+        # every conditional state of a pure density is pure, so every
+        # direction is a minimum and no trial step is taken.  The small
+        # conditional eigenvalue (p - v)/2 is then known to absolute eps
+        # only, which moves -lam log2 lam by up to eps log2(1/eps) ~ 1.2e-14
+        # (the worst here is 9.6e-15), the bound of the 40-digit test
         data = np.array([rho.data for rho in stall_sets[1][::4]])
+        grid = fock_oracle._GRID_FEATURES[1:4].T
         for measured in (0, 1):
             minima = fock_oracle._min_conditional_entropy(fock_oracle._bloch(data, measured))
-            assert np.all(minima.flag == _NEWTON) and not minima.iterations.any()
-            assert np.all(np.abs(minima.value) <= fock_oracle._STALL)
+            assert np.all(np.isin(minima.flag, (_CONVERGED, _AT_FLOOR))) and not minima.iterations.any()
+            assert np.all((minima.direction[:, None, :] == grid).all(axis=2).any(axis=1))
+            # precise_conditional_entropy measures the left qubit
+            swapped = data.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 1, 4, 3).reshape(-1, 4, 4) if measured else data
+            precise = [precise_conditional_entropy(rho, n) for rho, n in zip(swapped, minima.direction)]
+            assert np.max(np.abs(minima.value - precise)) <= 1e-14
 
     def test_grid_holds_each_axis_once(self):
         directions = fock_oracle._GRID_FEATURES[1:4].T
@@ -512,26 +522,24 @@ class TestDiscordNumeric:
         theta = np.unique(np.round(np.arccos(np.clip(directions[:, 2], -1.0, 1.0)), 12))
         assert theta[0] == 0.0 and theta[-1] == pytest.approx(0.5 * math.pi, abs=1e-12)
         assert np.max(np.diff(theta)) <= math.pi / 31
-        frames = fock_oracle._GRID_FRAMES
-        assert np.array_equal(frames[:, 0], directions)
-        assert_allclose(frames @ np.swapaxes(frames, 1, 2), np.broadcast_to(np.eye(3), frames.shape), atol=1e-15)
 
     def test_reductions_land_on_x_hat(self):
-        # the X-shaped reductions' optimum is sigma_x, a grid point, so no
-        # Newton step is taken.  Below alpha2 ~ 5e-4 at even parity the
-        # theta curvature there (~1e-11) is below the Hessian's rounding
-        # (~1e-9), and some of those densities fall back to the stencil
+        # the X-shaped reductions' optimum is sigma_x, a grid point where
+        # the Riemannian gradient vanishes by symmetry, so no trial step is
+        # taken whatever the sign of the Hessian, which at even parity below
+        # alpha2 ~ 5e-4 is rounding's (the theta curvature is ~1e-11).  In
+        # the strong-field part of the random sample (alpha2 > 4.6) some
+        # conditional states at x-hat are pure, and those stop on the floor
         x_hat = [1.0, 0.0, 0.0]
         minima = fock_oracle._min_conditional_entropy(verify_grid_bloch())
-        assert np.all(minima.flag == _NEWTON) and not minima.iterations.any()
+        assert np.all(minima.flag == _CONVERGED) and not minima.iterations.any()
         assert_allclose(minima.direction, np.broadcast_to(x_hat, minima.direction.shape), rtol=0.0, atol=1e-15)
         points = random_points()
         minima = fock_oracle._min_conditional_entropy(fock_oracle._bloch(reductions(points), 0))
-        newton = minima.flag == _NEWTON
-        assert not minima.iterations[newton].any()
-        assert_allclose(minima.direction[newton], np.broadcast_to(x_hat, (newton.sum(), 3)), rtol=0.0, atol=1e-15)
-        weak_even = np.tile([params.alpha2 < 1e-3 and params.k == 0 for params in points], 2)
-        assert np.all(weak_even[~newton])
+        assert not minima.iterations.any() and not np.any(minima.flag == _CAPPED)
+        assert_allclose(minima.direction, np.broadcast_to(x_hat, minima.direction.shape), rtol=0.0, atol=1e-15)
+        strong = np.tile([params.alpha2 > 4.6 for params in points], 2)
+        assert np.all(strong[minima.flag == _AT_FLOOR])
 
     def test_minima_match_forty_digit_entropies(self):
         # a conditional eigenvalue lam near 0, known to about eps, moves
@@ -545,12 +553,41 @@ class TestDiscordNumeric:
 
     def test_no_density_stops_on_a_cap(self, stall_sets):
         minima = fock_oracle._min_conditional_entropy(verify_grid_bloch())
-        assert not np.any(minima.flag == _CAPPED)
-        assert np.mean(minima.flag == _NEWTON) > 0.99
+        assert np.all(minima.flag == _CONVERGED)
         assert np.median(minima.iterations) <= 5
         for key, index, measured in STALL_CASES:
             minima = fock_oracle._min_conditional_entropy(fock_oracle._bloch(stall_sets[key][index].data[None], measured))
-            assert minima.flag[0] == _NEWTON and minima.iterations[0] < 10, (key, index, measured)
+            assert minima.flag[0] == _CONVERGED and minima.iterations[0] < 10, (key, index, measured)
+
+    def test_shifted_steps_leave_a_concave_start(self, monkeypatch):
+        # measuring classical_quantum(0.3, 1.0) across its optimum n(0.3,
+        # 1.0) maximizes the conditional entropy; 0.1 rad off that great
+        # circle the Riemannian Hessian has a negative eigenvalue, and the
+        # shifted steps must still reach the zero minimum.  Run with k trial
+        # steps allowed, the value can only fall as k grows
+        corr = fock_oracle._bloch(classical_quantum(0.3, 1.0).data[None], 0)
+        theta = 0.3 + 0.5 * math.pi - 0.1
+        start = np.array([[math.sin(theta) * math.cos(1.0), math.sin(theta) * math.sin(1.0), math.cos(theta)]])
+        assert np.linalg.eigvalsh(fock_oracle._newton_terms(corr, start)[2])[0, 0] < 0.0
+        values = []
+        for cap in range(fock_oracle._NEWTON_CAP + 1):
+            monkeypatch.setattr(fock_oracle, "_NEWTON_CAP", cap)
+            minima = fock_oracle._refine(corr, start)
+            values.append(minima.value[0])
+        # the last run had the full cap
+        assert minima.flag[0] != _CAPPED and abs(minima.value[0]) <= 1e-12
+        assert np.all(np.diff(values) <= 0.0) and values[0] == fock_oracle._newton_terms(corr, start)[0][0]
+
+    def test_minima_are_the_evaluator_at_their_direction(self, stall_sets):
+        # the reported value is the accurate evaluator's at the reported
+        # direction, never the grid pass's expanded formula
+        stacks = [verify_grid_bloch(), fock_oracle._bloch(reductions(random_points()), 0)]
+        for densities in stall_sets.values():
+            data = np.array([rho.data for rho in densities])
+            stacks += [fock_oracle._bloch(data, measured) for measured in (0, 1)]
+        for corr in stacks:
+            minima = fock_oracle._min_conditional_entropy(corr)
+            assert np.array_equal(minima.value, fock_oracle._newton_terms(corr, minima.direction)[0])
 
     def test_verify_grid_minima_match_the_zoom(self):
         # the frozen zoom-stencil minimizer the Newton refinement replaced
