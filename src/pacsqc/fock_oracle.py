@@ -20,7 +20,7 @@ calls, validating each stack of densities once; the one-object functions,
 stack of one.  The discord minimizer works on the real Bloch form
 (r, s, T) of each 4x4 density, where the conditional entropy depends on the
 direction n only through n.r and the conditional Bloch vectors s +- T^T n:
-a pass over 497 grid directions, spaced pi/32 in theta and pi/16 in phi
+a pass over 121 grid directions, theta step pi/16 and phi step pi/8,
 with x-hat, y-hat and z-hat among them, picks each start, and Riemannian
 Newton on the sphere refines it, with one evaluator for the value, its
 gradient and Hessian, and one safeguard (see `discord_numeric`).
@@ -382,32 +382,33 @@ def build_bell_pair(params, nmax=None):
 def _basin_grid():
     """The terms (1, n_i, n_i^2, 2 n_i n_j) through which the conditional
     entropy depends on the direction n, for each direction of the basin
-    grid, theta = i pi/32 (i = 0..16) by phi = j pi/16 (j = 0..31): (10, 497).
+    grid, theta = i pi/16 (i = 0..8) by phi = j pi/8 (j = 0..15): (10, 121).
 
     The directions n and -n are one measurement with its two outcomes
     swapped, so each appears once: the pole, the rows 0 < theta < pi/2
-    whole and the equator for phi < pi.  Every sine and cosine is read from
-    one table of sin(k pi/32), so x-hat, y-hat and z-hat are grid points
-    with exact zeros and ones; x-hat is the optimal measurement of the
-    X-shaped reductions (see `states`) at every verify-grid density, one of
-    the candidate optima of two-qubit X states (Ali, Rau & Alber, PRA 81,
-    042105 (2010)).
+    whole and the equator for phi < pi; it only picks the basin `_refine`
+    starts in.  Every sine and cosine is read from one table of
+    sin(k pi/32), so x-hat, y-hat and z-hat are grid points with exact zeros
+    and ones; x-hat is the optimal measurement of the X-shaped reductions
+    (see `states`) at every verify-grid density, one of the candidate optima
+    of two-qubit X states (Ali, Rau & Alber, PRA 81, 042105 (2010)).
     """
     quarter = np.sin(np.arange(17) * math.pi / 32.0)
     sines = np.concatenate([quarter, quarter[15:0:-1], -quarter, -quarter[15:0:-1]])  # k = 0..63
-    theta = np.concatenate([[0], np.repeat(np.arange(1, 16), 32), np.full(16, 16)])
-    phi = np.concatenate([[0], np.tile(np.arange(0, 64, 2), 15), np.arange(0, 32, 2)])
+    theta = np.concatenate([[0], np.repeat(np.arange(2, 16, 2), 16), np.full(8, 16)])
+    phi = np.concatenate([[0], np.tile(np.arange(0, 64, 4), 7), np.arange(0, 32, 4)])
     sin_t, z, sin_p, cos_p = sines[theta], sines[theta + 16], sines[phi], sines[(phi + 16) % 64]
     x, y = sin_t * cos_p, sin_t * sin_p
     return np.stack([np.ones_like(x), x, y, z, x * x, y * y, z * z, 2.0 * x * y, 2.0 * x * z, 2.0 * y * z])
 
 
 _GRID_FEATURES = _basin_grid()
+_GRID_FEATURES.flags.writeable = False
 # Densities per grid-pass chunk (results do not depend on it): the largest
-# temporaries, the (16, 3, 497) product and the two outcomes, hold 186 KB and
-# 124 KB.  On the default verify grid's 800 densities, chunks of 4, 8, 16, 32
-# and 64 took 30-46, 25-35, 21-28, 43-66 and 22-30 us per density over three
-# runs (one core, 2-vCPU x86 VM).
+# temporaries, the (16, 3, 121) product and the two outcomes, hold 45 KB and
+# 30 KB.  Whole-minimizer medians (one core, 2-vCPU x86 VM): chunks of 8, 16,
+# 32 and 64 took 20, 14, 12 and 16 us per density on the verify grid's 800
+# densities, and 40, 35, 34 and 34 on the stacks of one oracle-verify round.
 _GRID_CHUNK = 16
 _OUTCOME_SIGNS = np.array([1.0, -1.0])
 
@@ -456,7 +457,7 @@ _RATIO_FLOOR = 2.0 ** -20
 # A density stops once the predicted decrease of its next trial step is
 # below eps (in bits, the conditional entropy being at most 1), whatever the
 # sign of H: the step could no longer move the value.  _NEWTON_CAP bounds the
-# trials (verify-grid densities take 0, seeded random ones up to 7).
+# trials (verify-grid densities take 0, seeded random ones up to 8).
 _EPS = 2.0 ** -52
 _NEWTON_CAP = 50
 
@@ -633,11 +634,12 @@ def discord_numeric(rho, measured=0):
     ``rho`` is one two-qubit DensityMatrix, giving a float, or a sequence of
     them, giving a list of floats from one stacked minimization.  The
     conditional entropy is minimized over the measurement direction on the
-    unit sphere: a grid of 497 directions that holds the three axes picks
-    each start, and Riemannian Newton refines it until a step could no
-    longer move the value (about eps; the oracle's X-shaped reductions have
-    their minimum at x-hat and take no step), taking shifted steps where the
-    Hessian is not positive definite and only steps that lower the value.
+    unit sphere: a grid of 121 directions (theta step pi/16, phi step pi/8)
+    that holds the three axes picks each start, and Riemannian Newton
+    refines it until a step could no longer move the value (about eps; the
+    oracle's X-shaped reductions have their minimum at x-hat and take no
+    step), taking shifted steps where the Hessian is not positive definite
+    and only steps that lower the value.
     The result is S_measured - S_joint + that minimum.
     """
     single = isinstance(rho, DensityMatrix)
@@ -719,21 +721,19 @@ def verify_points(points, nmax=None):
     pairs = np.concatenate([_partial_trace(rho123, (2, 2, 2), keep) for keep in ((0, 1), (1, 2))])
     quads = np.concatenate([pairs, bell])
     lam = _check_densities(_partial_trace(pairs, (2, 2), (0,)))
-    s1, s2, s12, s23 = np.split(np.concatenate([_entropies(lam), _entropies(_check_densities(quads)[: 2 * count])]), 4)
+    # S1 then S2, and S12 then S23
+    single, joint = _entropies(lam), _entropies(_check_densities(quads)[: 2 * count])
+    d12, d23 = (single - joint + _min_conditional_entropy(_bloch(pairs, 0)).value).reshape(2, count)
+    (s1, s2), (s12, s23) = single.reshape(2, count), joint.reshape(2, count)
     concurrences = _concurrences(quads)
-    c13, c23, c12 = np.split(concurrences, 3)
-    e13, e23, e12 = np.split(_eofs(concurrences), 3)
-    d12, d23 = np.split(np.concatenate([s1 - s12, s2 - s23]) + _min_conditional_entropy(_bloch(pairs, 0)).value, 2)
-    oracle = {
-        "S1": s1, "S2": s2, "S12": s12, "S23": s23, "C12_conc": c12, "C23_conc": c23, "C13_conc": c13,
-        "C1_23_conc": 2.0 * np.sqrt(np.prod(np.clip(lam[:count], 0.0, None), axis=1)),
-        "E12": e12, "E23": e23, "E13": e13, "E1_23": s1,
-        "D12": d12, "D23": d23, "D1_23": s1, "Delta123": s1 - 2.0 * d12,
-    }
+    (c13, c23, c12), (e13, e23, e12) = concurrences.reshape(3, count), _eofs(concurrences).reshape(3, count)
+    c1_23 = 2.0 * np.sqrt(np.prod(np.clip(lam[:count], 0.0, None), axis=1))
+    # one row per point, in FIELD_BOUNDS order
+    oracle = np.stack([s1, s2, s12, s23, c12, c23, c13, c1_23, e12, e23, e13, s1, s1, d12, d23, s1 - 2.0 * d12], axis=1)
     records = []
-    for i, params in enumerate(points):
+    for params, values in zip(points, oracle.tolist()):
         closed = report(params).as_dict()
-        deviations = {name: closed[name] - float(values[i]) for name, values in oracle.items()}
+        deviations = {name: closed[name] - value for name, value in zip(FIELD_BOUNDS, values)}
         records.append(VerificationRecord(params, deviations, dict(FIELD_BOUNDS)))
     return records
 

@@ -29,6 +29,7 @@ from pacsqc.fock_oracle import (
     von_neumann_entropy,
     wootters_concurrence,
 )
+from grid_reference import basin_grid_497
 from zoom_reference import zoom_minima
 
 DISCORD_FIELDS = ("D12", "D23", "Delta123")
@@ -521,7 +522,30 @@ class TestDiscordNumeric:
         assert len(directions) <= 512 and overlaps.max() < 1.0 - 1e-6
         theta = np.unique(np.round(np.arccos(np.clip(directions[:, 2], -1.0, 1.0)), 12))
         assert theta[0] == 0.0 and theta[-1] == pytest.approx(0.5 * math.pi, abs=1e-12)
-        assert np.max(np.diff(theta)) <= math.pi / 31
+        # theta is rounded to 12 digits above
+        assert np.max(np.diff(theta)) <= math.pi / 16 + 1e-12
+
+    def test_coarse_grid_matches_the_497_grid(self, stall_sets, monkeypatch):
+        # the grid only picks each start: from the frozen 497-direction grid
+        # the oracle's own densities land on the same direction with the
+        # same value, and no general density ends higher than the zoom
+        # test's bound above its finer-grid minimum
+        def both(corr):
+            coarse = fock_oracle._min_conditional_entropy(corr)
+            with monkeypatch.context() as patch:
+                patch.setattr(fock_oracle, "_GRID_FEATURES", basin_grid_497())
+                fine = fock_oracle._min_conditional_entropy(corr)
+            assert not np.any(coarse.flag == _CAPPED) and not np.any(fine.flag == _CAPPED)
+            return coarse, fine
+
+        for corr in (verify_grid_bloch(), fock_oracle._bloch(reductions(random_points()), 0)):
+            coarse, fine = both(corr)
+            assert np.array_equal(coarse.value, fine.value) and np.array_equal(coarse.direction, fine.direction)
+        for densities in [*stall_sets.values(), random_densities(2000, seed=123)]:
+            data = np.array([rho.data for rho in densities])
+            for measured in (0, 1):
+                coarse, fine = both(fock_oracle._bloch(data, measured))
+                assert np.all(coarse.value <= fine.value + 1e-14)
 
     def test_reductions_land_on_x_hat(self):
         # the X-shaped reductions' optimum is sigma_x, a grid point where
