@@ -114,6 +114,13 @@ def _fmt(value):
     return format(value, ".17g")
 
 
+def _verify_row_format(floats):
+    """%-format of one verify CSV row: alpha2, p, m, k and ``floats`` more
+    floats, byte for byte as `_fmt` and csv.writer write them ("%.17g"
+    prints a nan as "nan", as `_fmt` does, and no field needs quoting)."""
+    return "%.17g,%.17g,%d,%d" + ",%.17g" * floats + "\n"
+
+
 def run_sweep(spec):
     """Return (header, rows) for the sweep. rows is a lazy iterator: each row
     is evaluated when it is drawn, sorted by (k, m, axis value), with all
@@ -205,18 +212,18 @@ def _cmd_verify(args):
     if args.nmax_override is not None and args.nmax_override < 0:
         raise UsageError(f"Fock cutoff nmax must be a non-negative integer, got {args.nmax_override}")
     points = fock_oracle.verification_grid(args.start, args.stop, args.steps, tuple(args.m), tuple(args.k))
-    # before --out is opened: a point the oracle cannot build is a usage error
-    fock_oracle._require_cat_pairs(points)
-    field_names = list(fock_oracle.FIELD_BOUNDS)
-    header = ["alpha2", "p", "m", "k"] + [f"dev_{name}" for name in field_names] + ["max_abs_deviation"]
+    # before --out is opened: a point the oracle cannot build (no cat basis,
+    # a degenerate parity, a cutoff too small) is a usage error
+    vectors = fock_oracle._cat_vectors(points, args.nmax_override)
+    header = ["alpha2", "p", "m", "k"] + [f"dev_{name}" for name in fock_oracle.FIELD_BOUNDS] + ["max_abs_deviation"]
+    row = _verify_row_format(len(fock_oracle.FIELD_BOUNDS) + 1)
     failed = []
 
-    def rows():
-        # drawn once --out is open, so an unwritable path fails before the oracle runs
-        for params, record in zip(points, fock_oracle.verify_points(points, nmax=args.nmax_override)):
-            row = [_fmt(params.alpha2), _fmt(params.p), str(params.m), str(params.k)]
-            row += [_fmt(record.deviations[name]) for name in field_names]
-            row.append(_fmt(record.max_abs_deviation))
+    def records():
+        # drawn once --out is open, so an unwritable path fails before the
+        # spectra and the minimizer run
+        for record in fock_oracle._records(points, *vectors):
+            params = record.params
             if not record.passes(bound_override=tolerance):
                 failed.append(params)
                 name, dev = record.worst(tolerance)
@@ -224,12 +231,16 @@ def _cmd_verify(args):
                     f"FAIL alpha2={params.alpha2:.6g} m={params.m} k={params.k}: {name} deviates by {dev:.3e}",
                     file=sys.stderr,
                 )
-            yield row
+            yield params, record
 
     if args.out:
-        _write_csv(args.out, header, rows())
+        with open(args.out, "w", newline="", encoding="utf-8") as handle:
+            handle.write(",".join(header) + "\n")
+            for params, record in records():
+                deviations = record.deviations.values()
+                handle.write(row % (params.alpha2, params.p, params.m, params.k, *deviations, record.max_abs_deviation))
     else:
-        for _ in rows():
+        for _ in records():
             pass
     print(f"verified {len(points)} points: {'bound exceeded' if failed else 'all within bounds'}")
     return EXIT_VERIFY if failed else EXIT_OK

@@ -13,9 +13,10 @@ Fock-space overlaps into the even/odd cat basis of the closed forms, so
 reduced densities can be compared entrywise.  The kernels work on stacks:
 `verify_points` builds the coherent amplitudes of all its points as the
 rows of one (points, nmax + 1) array, adds photons to every row in one lift
-by sqrt(n!/(n - m)!), checks each row against its own cutoff, and takes
-every reduction, spectrum, concurrence and discord from a few stacked
-calls, validating each stack of densities once; the one-object functions,
+by sqrt(n!/(n - m)!), checks each row against its own cutoff, traces the
+two-mode reductions out of each GHZ weight vector by a matrix product, and
+takes every spectrum, concurrence and discord from a few stacked calls,
+validating each stack of densities once; the one-object functions,
 `coherent_vector` and `add_photons` included, run the same kernels on a
 stack of one.  The discord minimizer works on the real Bloch form
 (r, s, T) of each 4x4 density, where the conditional entropy depends on the
@@ -27,6 +28,7 @@ gradient and Hessian, and one safeguard (see `discord_numeric`).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,6 +62,9 @@ __all__ = [
 
 # Maximum squared amplitude tolerated at the truncation edge.
 TAIL_BOUND = 1e-24
+
+# the signs of the +alpha and -alpha states, and of a measurement's two outcomes
+_PLUS_MINUS = np.array([1.0, -1.0])
 
 
 class TruncationError(ValueError):
@@ -185,18 +190,25 @@ def add_photons(vec, m, normalize=True):
     return FockVector(_add_photon_rows(amp, np.array([int(m)]), np.array([amp.shape[1] - 1]), normalize)[0])
 
 
+def _adjoints(data):
+    """Conjugate transposes of a (B, D, D) stack; a real stack's transposes."""
+    adjoint = np.swapaxes(data, -1, -2)
+    return adjoint.conj() if np.iscomplexobj(data) else adjoint
+
+
 def _check_densities(data):
     """Validate a (B, D, D) stack of density matrices (unit trace and
     Hermiticity within 1e-10, no eigenvalue below -1e-9) and return their
     ascending spectra."""
     trace = np.trace(data, axis1=-2, axis2=-1)
-    off = ~(np.abs(trace - 1.0) <= 1e-10)
-    if off.any():
-        raise ValueError(f"trace must be 1, got {complex(trace[off][0])!r}")
-    if not np.all(np.abs(data - np.swapaxes(data, -1, -2).conj()) <= 1e-10):
+    # max() carries a nan through, and a nan fails each comparison
+    off = np.abs(trace - 1.0)
+    if not off.max() <= 1e-10:
+        raise ValueError(f"trace must be 1, got {complex(trace[~(off <= 1e-10)][0])!r}")
+    if not np.abs(data - _adjoints(data)).max() <= 1e-10:
         raise ValueError("matrix is not Hermitian within tolerance")
     spectra = np.linalg.eigvalsh(data)
-    if not np.all(spectra[:, 0] >= -1e-9):
+    if not spectra[:, 0].min() >= -1e-9:
         raise ValueError("matrix has a negative eigenvalue beyond tolerance")
     return spectra
 
@@ -248,7 +260,13 @@ def partial_trace(rho, keep):
 
 
 def _xlog2x(values):
-    return values * np.log2(values, out=np.zeros_like(values), where=values > 1e-300)
+    """x log2 x of each element, 0 at and below 1e-300 (nan stays nan)."""
+    positive = values > 1e-300
+    if positive.all():
+        # numpy's log2 rounds each element as the masked call below does,
+        # which takes about twice as long on the grid pass's arrays
+        return values * np.log2(values)
+    return values * np.log2(values, out=np.zeros_like(values), where=positive)
 
 
 def _entropies(spectra):
@@ -269,17 +287,18 @@ def _psd_sqrt(data):
     """Principal square roots of a stack of positive semidefinite Hermitian
     matrices, with eigenvalues below zero (eigensolver noise) clipped to zero."""
     lam, vec = np.linalg.eigh(data)
-    return (vec * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ np.swapaxes(vec, -1, -2).conj()
+    # np.maximum(x, 0.0) clips as np.clip(x, 0.0, None) does, -0.0 to 0.0 included
+    return (vec * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ _adjoints(vec)
 
 
 def _concurrences(data):
     """Wootters concurrences of a (B, 4, 4) stack of two-qubit densities."""
     root = _psd_sqrt(data)
-    product = root @ _SY_SY @ root.conj()
+    product = root @ _SY_SY @ (root.conj() if np.iscomplexobj(root) else root)
     dilation = np.zeros((len(data), 8, 8), dtype=product.dtype)
     dilation[:, :4, 4:] = product
-    dilation[:, 4:, :4] = np.swapaxes(product, -1, -2).conj()
-    lams = np.clip(np.linalg.eigvalsh(dilation)[:, :3:-1], 0.0, None)
+    dilation[:, 4:, :4] = _adjoints(product)
+    lams = np.maximum(np.linalg.eigvalsh(dilation)[:, :3:-1], 0.0)
     return np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
 
 
@@ -322,7 +341,7 @@ def _mode_pairs(points, nmax):
     (c_plus, -c_minus).  All 2P coherent vectors, truncated at ``nmax`` or
     at each point's `default_nmax`, come from one stacked build, and each
     pair's overlap <alpha|-alpha> from summing its amplitudes."""
-    alpha = (np.sqrt([params.alpha2 for params in points])[:, None] * [1.0, -1.0]).ravel()
+    alpha = (np.sqrt([params.alpha2 for params in points])[:, None] * _PLUS_MINUS).ravel()
     photons = np.repeat([params.m for params in points], 2)
     if nmax is None:
         cutoffs = np.repeat([default_nmax(params.alpha2, params.m) for params in points], 2)
@@ -331,40 +350,55 @@ def _mode_pairs(points, nmax):
     plain = _coherent_rows(alpha, cutoffs)
     vectors = np.concatenate([_add_photon_rows(plain, photons, cutoffs, True), plain])
     overlaps = _row_sums(vectors[0::2] * vectors[1::2]).reshape(2, len(points)).T
-    return np.sqrt(np.maximum(0.0, 0.5 + 0.5 * overlaps[:, :, None] * [1.0, -1.0]))
+    return np.sqrt(np.maximum(0.0, 0.5 + 0.5 * overlaps[:, :, None] * _PLUS_MINUS))
+
+
+# (-1)^(number of odd modes) of each cat-basis index, modes as binary digits
+_INDEX_PARITIES = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
 
 
 def _superpositions(signs, modes):
     """Normalized weights of |alpha..> + sign |-alpha..> for a stack of
-    points, over the first 2, 3, ... of its modes: ``modes`` of shape
+    points, over the first 2 and 3 of its modes: ``modes`` of shape
     (B, M, 2) holds each mode's (c_plus, c_minus) ((c_plus, -c_minus) for
     -alpha), and the j-th (B, 2**(j + 2)) array of the result holds each
-    point's weights in the basis of its first j + 2 modes' tensor product."""
-    modes, signs = np.asarray(modes, dtype=float), np.reshape(signs, (-1, 1))
-    forward, backward, weights = modes[:, 0], modes[:, 0] * [1.0, -1.0], []
+    point's weights in the basis of its first j + 2 modes' tensor product.
+
+    The -alpha product is the +alpha one with the sign (-1)^(odd modes) of
+    each index, so the sum is the +alpha product times 1 + sign (-1)^(odd
+    modes), which is 2 or 0; the coordinates being non-negative, that gives
+    every weight bit for bit as the sum of the two products does."""
+    modes = np.asarray(modes, dtype=float)
+    factors = 1.0 + np.reshape(signs, (-1, 1)) * _INDEX_PARITIES
+    product, weights = modes[:, 0], []
     for coords in modes.transpose(1, 0, 2)[1:]:
-        size = (len(modes), 2 * forward.shape[1])
-        forward = (forward[:, :, None] * coords[:, None, :]).reshape(size)
-        backward = (backward[:, :, None] * (coords * [1.0, -1.0])[:, None, :]).reshape(size)
-        raw = forward + signs * backward
+        size = 2 * product.shape[1]
+        product = (product[:, :, None] * coords[:, None, :]).reshape(len(modes), size)
+        raw = product * factors[:, :size]
         norm = np.sqrt(np.sum(raw * raw, axis=1, keepdims=True))
-        if not (norm >= 1e-9).all():
+        if not norm.min() >= 1e-9:
             raise ValueError("superposition vector vanishes at this parameter point")
         weights.append(raw / norm)
     return weights
 
 
-def _cat_projectors(points, nmax):
-    """Pure-state projectors of the GHZ-type state, shape (B, 8, 8), and of
-    the quasi-Bell pair (excited mode 1 with a plain mode 2), (B, 4, 4), in
-    each point's cat basis: the pair is the GHZ superposition's first two
-    modes, so one pass over the modes gives both."""
+def _cat_vectors(points, nmax):
+    """Weights of the GHZ-type state, shape (P, 8), and of the quasi-Bell
+    pair (excited mode 1 with a plain mode 2), (P, 4), in each point's cat
+    basis: the pair is the GHZ superposition's first two modes, so one pass
+    over the modes gives both.  Every check on whether the oracle can build
+    the points (cat basis, parity, truncation) runs here."""
     _require_cat_pairs(points)
     if nmax is not None:
         _check_cutoff(nmax)
-    pairs, signs = _mode_pairs(points, nmax), [params.sign for params in points]
-    bell, ghz = _superpositions(signs, pairs[:, [0, 1, 1]])
-    return [v[:, :, None] * v[:, None, :] for v in (ghz, bell)]
+    bell, ghz = _superpositions([params.sign for params in points], _mode_pairs(points, nmax)[:, [0, 1, 1]])
+    return ghz, bell
+
+
+def _cat_projectors(points, nmax):
+    """Pure-state projectors of the `_cat_vectors` states, (B, 8, 8) and
+    (B, 4, 4)."""
+    return [v[:, :, None] * v[:, None, :] for v in _cat_vectors(points, nmax)]
 
 
 def build_tripartite(params, nmax=None):
@@ -405,12 +439,13 @@ def _basin_grid():
 _GRID_FEATURES = _basin_grid()
 _GRID_FEATURES.flags.writeable = False
 # Densities per grid-pass chunk (results do not depend on it): the largest
-# temporaries, the (16, 3, 121) product and the two outcomes, hold 45 KB and
-# 30 KB.  Whole-minimizer medians (one core, 2-vCPU x86 VM): chunks of 8, 16,
-# 32 and 64 took 20, 14, 12 and 16 us per density on the verify grid's 800
-# densities, and 40, 35, 34 and 34 on the stacks of one oracle-verify round.
-_GRID_CHUNK = 16
-_OUTCOME_SIGNS = np.array([1.0, -1.0])
+# temporaries, the (64, 3, 121) product and the two outcomes, hold 186 KB and
+# 124 KB, and one chunk holds the 48 densities of a 24-point verify request.
+# Whole-minimizer medians (one core, 2-vCPU x86 VM, unmasked log2 in
+# `_xlog2x`): chunks of 16, 32, 64 and 128 took 8.8, 6.7, 6.4 and 9.9 us per
+# density on the verify grid's 800 densities, and 18.9, 17.2, 15.2 and 14.7
+# on the 48 of a 24-point request.
+_GRID_CHUNK = 64
 
 
 def _coefficients(corr):
@@ -437,7 +472,7 @@ def _conditional_entropy(abu):
     eigenvalues (p +- |v|)/2.  The expansion loses digits where v is short,
     so this form only ranks the grid directions.
     """
-    signs = _OUTCOME_SIGNS[:, None, None]
+    signs = _PLUS_MINUS[:, None, None]
     p = 0.5 + 0.5 * signs * abu[:, 0]
     v = 0.5 * np.sqrt(np.maximum(abu[:, 2] + 2.0 * signs * abu[:, 1], 0.0))
     # p S(rho/p) = p log2 p - sum_i lam_i log2 lam_i  (lam unnormalized)
@@ -462,34 +497,46 @@ _EPS = 2.0 ** -52
 _NEWTON_CAP = 50
 
 
-def _newton_steps(gradient, hessian):
-    """Tangent steps -(H + mu I)^-1 g (B, 2) for Riemannian gradients g and
-    Hessians H in a tangent basis, with their predicted decreases
-    g^T (H + mu I)^-1 g / 2.  mu = 0 where H is positive definite, and
-    |g| - 2 lambda_min(H) elsewhere: H + mu I is then positive definite with
-    eigenvalues of at least |g|, so the step stays within unit length, and a
-    gradient at rounding's level predicts a decrease of its square, not of
-    itself."""
+def _newton_steps(gradient, norm, hessian):
+    """Tangent steps -(H + mu I)^-1 g (B, 2) for Riemannian gradients g of
+    norms |g| and Hessians H in a tangent basis, with their predicted
+    decreases g^T (H + mu I)^-1 g / 2.  mu = 0 where H is positive definite,
+    and |g| - 2 lambda_min(H) elsewhere: H + mu I is then positive definite
+    with eigenvalues of at least |g|, so the step stays within unit length,
+    and a gradient at rounding's level predicts a decrease of its square, not
+    of itself."""
     g0, g1 = gradient[:, 0], gradient[:, 1]
-    h00, h01, h11 = hessian[:, 0, 0], 0.5 * (hessian[:, 0, 1] + hessian[:, 1, 0]), hessian[:, 1, 1]
+    h00, h11 = hessian[:, 0, 0], hessian[:, 1, 1]
+    h01 = 0.5 * (hessian[:, 0, 1] + hessian[:, 1, 0])
     least = 0.5 * (h00 + h11) - np.hypot(0.5 * (h00 - h11), h01)
-    shift = np.where(least > 0.0, 0.0, np.hypot(g0, g1) - 2.0 * least)
-    h00, h11 = h00 + shift, h11 + shift
-    det = h00 * h11 - h01 * h01
+    # the shifted diagonal (h00 + mu, h11 + mu)
+    diagonal = np.diagonal(hessian, axis1=1, axis2=2) + np.where(least > 0.0, 0.0, norm - 2.0 * least)[:, None]
+    det = diagonal[:, 0] * diagonal[:, 1] - h01 * h01
     # H + mu I is singular only at g = 0 or by rounding: no step there
     det = np.where(det > 0.0, det, np.inf)
-    step = np.stack([h01 * g1 - h11 * g0, h01 * g0 - h00 * g1], axis=1) / det[:, None]
+    # (h01 g1 - h11 g0, h01 g0 - h00 g1) / det
+    step = h01[:, None] * gradient[:, ::-1] - diagonal[:, ::-1] * gradient
+    step /= det[:, None]
     return step, -0.5 * (g0 * step[:, 0] + g1 * step[:, 1])
+
+
+_HALF_SIGNS = 0.5 * _PLUS_MINUS
+# where the closed forms fail, the derivatives are taken at this harmless
+# (p, lam+, lam-) and discarded
+_HARMLESS = np.array([1.0, 0.75, 0.25])
+_LN2 = math.log(2.0)
+_EYE2 = np.eye(2)
 
 
 def _newton_terms(corr, n):
     """Newton data at the unit directions n (B, 3) for the (B, 4, 4) stack
     ``corr`` of Pauli correlation matrices (see `_bloch`): the conditional
     entropy, the Riemannian gradient norm, the Riemannian Hessian (B, 2, 2)
-    in a tangent basis, the step of `_newton_steps` as a tangent vector
-    (B, 3) with its predicted decrease, and whether the closed forms hold
-    (see _LAMBDA_FLOOR).  The value holds everywhere (0 log 0 = 0); the
-    rest is finite, and meaningless where the forms fail.
+    in a tangent basis (None where every gradient is zero), the step of
+    `_newton_steps` as a tangent vector (B, 3) with its predicted decrease,
+    and whether the closed forms hold (see _LAMBDA_FLOOR).  The value holds
+    everywhere (0 log 0 = 0); the rest is finite, and meaningless where the
+    forms fail.
 
     With the weights p and conditional Bloch vectors b = s +- T^T n of
     `_conditional_entropy`, v = |b|/2 is read from b itself, which keeps the
@@ -499,47 +546,70 @@ def _newton_terms(corr, n):
     dv = +- T b/(4 v) and d2v = (T T^T - 4 dv dv^T)/(4 v).  The Riemannian
     gradient is P grad f and the Riemannian Hessian
     P (hess f - (n.grad f) I) P, with P = I - n n^T.
+
+    Arrays are filled in place through ``out=`` where that saves a stack, so
+    every element rounds as in the plain expressions the comments give.
     """
     r, s, tensor = corr[:, 1:, 0], corr[:, 0, 1:], corr[:, 1:, 1:]
-    bloch = s[:, None, :] + _OUTCOME_SIGNS[:, None] * (n[:, None, :] @ tensor)
-    p = 0.5 + 0.5 * _OUTCOME_SIGNS * (n * r).sum(axis=1)[:, None]
+    bloch = s[:, None, :] + _PLUS_MINUS[:, None] * (n[:, None, :] @ tensor)
+    # lam = (p, (p + v)/2, (p - v)/2) per outcome
+    lam = np.empty(bloch.shape[:2] + (3,))
+    p = np.add(0.5, _HALF_SIGNS * (n * r).sum(axis=1)[:, None], out=lam[:, :, 0])
     v = 0.5 * np.sqrt((bloch * bloch).sum(axis=2))
-    lam = np.stack([p, 0.5 * (p + v), 0.5 * (p - v)], axis=2)
+    np.add(p, v, out=lam[:, :, 1])
+    np.subtract(p, v, out=lam[:, :, 2])
+    lam[:, :, 1:] *= 0.5
     entropy = _xlog2x(lam)
     value = (entropy[:, :, 0] - entropy[:, :, 1] - entropy[:, :, 2]).sum(axis=1)
     valid = ((lam[:, :, 2] > _LAMBDA_FLOOR) & (v > _RATIO_FLOOR * p)).all(axis=1)
-    # elsewhere the derivatives are taken at a harmless (p, lam+, lam-) and discarded
-    lam = np.where(valid[:, None, None], lam, [1.0, 0.75, 0.25])
+    if not valid.all():
+        lam = np.where(valid[:, None, None], lam, _HARMLESS)
     v = lam[:, :, 1] - lam[:, :, 2]
     # x log2 x has slope log2 x + 1/ln 2 and curvature 1/(x ln 2), so f has
     # f_p = log2 p - log2(lam+ lam-)/2, f_v = log2(lam-/lam+)/2 and
     # f_pp = c_p - (c+ + c-)/4, f_pv = (c- - c+)/4, f_vv = -(c+ + c-)/4
-    logs, curvature = np.log2(lam), 1.0 / (math.log(2.0) * lam)
+    logs = np.log2(lam)
     f_p = logs[:, :, 0] - 0.5 * (logs[:, :, 1] + logs[:, :, 2])
     f_v = 0.5 * (logs[:, :, 2] - logs[:, :, 1])
-    outer = np.empty(v.shape + (2, 2))
-    outer[..., 0, 0] = curvature[:, :, 0] - 0.25 * (curvature[:, :, 1] + curvature[:, :, 2])
-    outer[..., 0, 1] = outer[..., 1, 0] = 0.25 * (curvature[:, :, 2] - curvature[:, :, 1])
-    # the d2v term's -4 dv dv^T part joins the (v, v) entry
-    outer[..., 1, 1] = -0.25 * (curvature[:, :, 1] + curvature[:, :, 2]) - f_v / v
-    dp = _OUTCOME_SIGNS[:, None] * (0.5 * r)[:, None, :]
-    dv = _OUTCOME_SIGNS[:, None] * (bloch @ np.swapaxes(tensor, 1, 2)) / (4.0 * v)[:, :, None]
-    slopes = np.stack([dp, dv], axis=2)
+    # slopes[:, :, 0] = dp = +- r/2 and slopes[:, :, 1] = dv = +- T b/(4 v)
+    slopes = np.empty(bloch.shape[:2] + (2, 3))
+    dp = np.multiply(_PLUS_MINUS[:, None], (0.5 * r)[:, None, :], out=slopes[:, :, 0])
+    four_v = 4.0 * v
+    dv = np.divide(_PLUS_MINUS[:, None] * (bloch @ np.swapaxes(tensor, 1, 2)), four_v[:, :, None], out=slopes[:, :, 1])
     gradient = (f_p[:, :, None] * dp + f_v[:, :, None] * dv).sum(axis=1)
-    hessian = (np.swapaxes(slopes, 2, 3) @ outer @ slopes).sum(axis=1)
-    hessian += (f_v / (4.0 * v)).sum(axis=1)[:, None, None] * (tensor @ np.swapaxes(tensor, 1, 2))
     # tangent bases by the branch-free construction of Duff et al.,
-    # J. Comput. Graph. Tech. 6(1), 2017, which holds at every unit n
+    # J. Comput. Graph. Tech. 6(1), 2017, which holds at every unit n:
+    # rows (1 + sign x x a, sign b, -sign x) and (b, sign + y y a, -y)
     x, y, z = n[:, 0], n[:, 1], n[:, 2]
     sign = np.where(z < 0.0, -1.0, 1.0)
     a = -1.0 / (sign + z)
-    b = x * y * a
-    bases = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x, b, sign + y * y * a, -y], axis=1).reshape(-1, 2, 3)
+    bases = np.empty((len(n), 2, 3))
+    b = np.multiply(x * y, a, out=bases[:, 1, 0])
+    np.add(1.0, sign * x * x * a, out=bases[:, 0, 0])
+    np.multiply(sign, b, out=bases[:, 0, 1])
+    np.multiply(-sign, x, out=bases[:, 0, 2])
+    np.add(sign, y * y * a, out=bases[:, 1, 1])
+    np.negative(y, out=bases[:, 1, 2])
     tangent_gradient = (bases @ gradient[:, :, None])[:, :, 0]
-    tangent_hessian = bases @ hessian @ np.swapaxes(bases, 1, 2)
-    tangent_hessian -= (n * gradient).sum(axis=1)[:, None, None] * np.eye(2)
-    step, decrease = _newton_steps(tangent_gradient, tangent_hessian)
     norm = np.hypot(tangent_gradient[:, 0], tangent_gradient[:, 1])
+    if not norm.any():
+        # the step -(H + mu I)^-1 g vanishes with g, whatever H is: no
+        # density can move (the X-shaped reductions at x-hat), so the
+        # Hessian is left out
+        return value, norm, None, np.zeros_like(n), np.zeros(len(n)), valid
+    curvature = 1.0 / (_LN2 * lam)
+    outer = np.empty(v.shape + (2, 2))
+    both = curvature[:, :, 1] + curvature[:, :, 2]
+    np.subtract(curvature[:, :, 0], 0.25 * both, out=outer[..., 0, 0])
+    np.multiply(0.25, curvature[:, :, 2] - curvature[:, :, 1], out=outer[..., 0, 1])
+    outer[..., 1, 0] = outer[..., 0, 1]
+    # the d2v term's -4 dv dv^T part joins the (v, v) entry
+    np.subtract(-0.25 * both, f_v / v, out=outer[..., 1, 1])
+    hessian = (np.swapaxes(slopes, 2, 3) @ outer @ slopes).sum(axis=1)
+    hessian += (f_v / four_v).sum(axis=1)[:, None, None] * (tensor @ np.swapaxes(tensor, 1, 2))
+    tangent_hessian = bases @ hessian @ np.swapaxes(bases, 1, 2)
+    tangent_hessian -= (n * gradient).sum(axis=1)[:, None, None] * _EYE2
+    step, decrease = _newton_steps(tangent_gradient, norm, tangent_hessian)
     return value, norm, tangent_hessian, (step[:, None, :] @ bases)[:, 0], decrease, valid
 
 
@@ -562,6 +632,10 @@ class _Minima(NamedTuple):
     direction: np.ndarray
 
 
+def _without_hessian(terms):
+    return terms[:2] + terms[3:]
+
+
 def _refine(corr, n):
     """Riemannian Newton from the unit directions n (B, 3) for the (B, 4, 4)
     stack ``corr`` of Pauli correlation matrices (see `_bloch`), as `_Minima`.
@@ -573,7 +647,8 @@ def _refine(corr, n):
     result depends on the rest of the stack.
     """
     n = np.array(n, dtype=float)
-    value, norm, _, step, decrease, valid = terms = _newton_terms(corr, n)
+    # every term but the Hessian, which the step already carries
+    value, norm, step, decrease, valid = terms = _without_hessian(_newton_terms(corr, n))
     scale, iterations = np.ones(len(n)), np.zeros(len(n), dtype=int)
     live = valid & (decrease > _EPS)
     for _ in range(_NEWTON_CAP):
@@ -582,7 +657,7 @@ def _refine(corr, n):
             break
         trial = n[index] + scale[index, None] * step[index]
         trial /= np.sqrt((trial * trial).sum(axis=1))[:, None]
-        trial_terms = _newton_terms(corr[index], trial)
+        trial_terms = _without_hessian(_newton_terms(corr[index], trial))
         iterations[index] += 1
         lower = trial_terms[0] < value[index]
         n[index[lower]] = trial[lower]
@@ -682,7 +757,7 @@ class VerificationRecord:
 
     @property
     def max_abs_deviation(self):
-        return max(abs(v) for v in self.deviations.values())
+        return max(map(abs, self.deviations.values()))
 
     def worst(self, bound_override=None):
         """(field, signed deviation) furthest beyond its bound, relative to the
@@ -703,6 +778,9 @@ class VerificationRecord:
         return True
 
 
+_CLOSED_FIELDS = operator.attrgetter(*FIELD_BOUNDS)
+
+
 def _eofs(concurrences):
     """Entanglement of formation H(1/2 + sqrt(1 - C^2)/2) of each element
     of an array of concurrences, clipped to [0, 1] (which keeps 1 - C^2 >= 0)."""
@@ -710,16 +788,29 @@ def _eofs(concurrences):
     return _binary_entropy_array(0.5 + 0.5 * np.sqrt(1.0 - c * c))
 
 
-def verify_points(points, nmax=None):
-    """Compare every closed-form report field against its brute-force value
-    at each parameter point, in order; each spectrum, concurrence and
-    discord of all the points comes from one stacked call per shape."""
-    points = list(points)
+def _reductions(ghz):
+    """rho12 = M M^T and rho23 = N^T N of each GHZ weight vector psi, with
+    M = psi as (P, 4, 2) and N = psi as (P, 2, 4), stacked as (2P, 4, 4).
+    Of the two products each entry sums, one is zero (a weight vanishes
+    wherever its index has the wrong parity), so the entries are the
+    projector's entries as tracing it gives them, bit for bit."""
+    count = len(ghz)
+    left, right = ghz.reshape(count, 4, 2), ghz.reshape(count, 2, 4)
+    pairs = np.empty((2 * count, 4, 4))
+    np.matmul(left, np.swapaxes(left, 1, 2), out=pairs[:count])
+    np.matmul(np.swapaxes(right, 1, 2), right, out=pairs[count:])
+    return pairs
+
+
+def _records(points, ghz, bell):
+    """`VerificationRecord` of each point from its `_cat_vectors` weights:
+    every spectrum, concurrence and discord of all the points comes from one
+    stacked call per shape, and the deviations from one subtraction of the
+    closed-form values and the oracle's."""
     count = len(points)
-    rho123, bell = _cat_projectors(points, nmax)
     # rho12 and rho23, each measured on its left mode, then the Bell pair
-    pairs = np.concatenate([_partial_trace(rho123, (2, 2, 2), keep) for keep in ((0, 1), (1, 2))])
-    quads = np.concatenate([pairs, bell])
+    pairs = _reductions(ghz)
+    quads = np.concatenate([pairs, bell[:, :, None] * bell[:, None, :]])
     lam = _check_densities(_partial_trace(pairs, (2, 2), (0,)))
     # S1 then S2, and S12 then S23
     single, joint = _entropies(lam), _entropies(_check_densities(quads)[: 2 * count])
@@ -727,15 +818,24 @@ def verify_points(points, nmax=None):
     (s1, s2), (s12, s23) = single.reshape(2, count), joint.reshape(2, count)
     concurrences = _concurrences(quads)
     (c13, c23, c12), (e13, e23, e12) = concurrences.reshape(3, count), _eofs(concurrences).reshape(3, count)
-    c1_23 = 2.0 * np.sqrt(np.prod(np.clip(lam[:count], 0.0, None), axis=1))
+    c1_23 = 2.0 * np.sqrt(np.prod(np.maximum(lam[:count], 0.0), axis=1))
     # one row per point, in FIELD_BOUNDS order
     oracle = np.stack([s1, s2, s12, s23, c12, c23, c13, c1_23, e12, e23, e13, s1, s1, d12, d23, s1 - 2.0 * d12], axis=1)
-    records = []
-    for params, values in zip(points, oracle.tolist()):
-        closed = report(params).as_dict()
-        deviations = {name: closed[name] - value for name, value in zip(FIELD_BOUNDS, values)}
-        records.append(VerificationRecord(params, deviations, dict(FIELD_BOUNDS)))
-    return records
+    closed = np.array([_CLOSED_FIELDS(report(params)) for params in points])
+    return [
+        VerificationRecord(params, dict(zip(FIELD_BOUNDS, deviations)), dict(FIELD_BOUNDS))
+        for params, deviations in zip(points, (closed - oracle).tolist())
+    ]
+
+
+def verify_points(points, nmax=None):
+    """Compare every closed-form report field against its brute-force value
+    at each parameter point, in order; each spectrum, concurrence and
+    discord of all the points comes from one stacked call per shape."""
+    points = list(points)
+    if not points:
+        return []
+    return _records(points, *_cat_vectors(points, nmax))
 
 
 def verify(params, nmax=None):

@@ -348,10 +348,69 @@ class TestVerifyCommand:
     def test_unwritable_path_fails_before_the_oracle(self, tmp_path, monkeypatch):
         from pacsqc import fock_oracle
 
+        # the states are built before --out is opened; the spectra and the
+        # minimizer run in _records, after it
         calls = []
-        monkeypatch.setattr(fock_oracle, "verify_points", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(fock_oracle, "_records", lambda *args, **kwargs: calls.append(args))
         assert main(["verify", "--out", str(tmp_path / "missing" / "x.csv")]) == EXIT_IO
         assert calls == []
+
+    def test_insufficient_nmax_is_usage_error_before_output(self, tmp_path, capsys):
+        out = tmp_path / "verify.csv"
+        code = main(["verify", "--nmax-override", "5", "--start", "2", "--stop", "3", "--steps", "2", "--m", "0",
+                     "--k", "0", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "nmax=5 insufficient" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_checks_run_once_per_request(self, tmp_path, monkeypatch):
+        from pacsqc import fock_oracle
+
+        calls = []
+        check = fock_oracle._require_cat_pairs
+        monkeypatch.setattr(fock_oracle, "_require_cat_pairs", lambda points: calls.append(1) or check(points))
+        assert main(["verify", "--steps", "2", "--m", "1", "--k", "0", "--out", str(tmp_path / "v.csv")]) == EXIT_OK
+        assert calls == [1]
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-300, 1e16, 0.1])
+    def test_row_format_matches_fmt_and_csv_writer(self, value, tmp_path):
+        fields = (value, 2.0, 3, 1) + (value, -value, 1.0 / 3.0)
+        path = tmp_path / "row.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerow(
+                [cli._fmt(fields[0]), cli._fmt(fields[1]), str(fields[2]), str(fields[3])]
+                + [cli._fmt(v) for v in fields[4:]]
+            )
+        assert cli._verify_row_format(3) % fields == path.read_text(encoding="utf-8")
+
+    def test_nan_deviation_row_and_fail_line(self, tmp_path, monkeypatch, capsys):
+        # a nan deviation is written as "nan", skipped by max_abs_deviation
+        # (Python's max keeps an earlier value over a later nan) and named
+        # first on the FAIL line, as the csv.writer rows of `_fmt` values did
+        from pacsqc import fock_oracle
+        from dataclasses import replace
+
+        monkeypatch.setattr(fock_oracle, "report", lambda params: replace(report(params), D12=math.nan))
+        argv = ["verify", "--start", "0.5", "--stop", "1.5", "--steps", "2", "--m", "1", "--k", "0", "1"]
+        out = tmp_path / "verify.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_VERIFY
+        fails = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL")]
+        records = fock_oracle.verify_points(fock_oracle.verification_grid(0.5, 1.5, 2, (1,), (0, 1)))
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["alpha2", "p", "m", "k"] + [f"dev_{name}" for name in fock_oracle.FIELD_BOUNDS]
+                            + ["max_abs_deviation"])
+            for record in records:
+                params = record.params
+                writer.writerow([cli._fmt(params.alpha2), cli._fmt(params.p), str(params.m), str(params.k)]
+                                + [cli._fmt(v) for v in record.deviations.values()]
+                                + [cli._fmt(record.max_abs_deviation)])
+        assert out.read_bytes() == expected.read_bytes()
+        assert all(row["dev_D12"] == "nan" and row["max_abs_deviation"] != "nan" for row in read_rows(out))
+        assert fails == [
+            f"FAIL alpha2={r.params.alpha2:.6g} m={r.params.m} k={r.params.k}: D12 deviates by nan" for r in records
+        ]
 
 
     @pytest.mark.parametrize("nmax", ["-3", "-1"])

@@ -125,6 +125,29 @@ def random_points(count=200, seed=14):
     return [ModelParams(float(a), int(m), int(k)) for a, m, k in zip(alpha2, orders, parities)]
 
 
+def projector_route_deviations(points):
+    """Each point's deviations by the projector route: rho12 and rho23
+    traced out of the GHZ projector, and each field's deviation as the
+    report's value minus the oracle's, one float at a time."""
+    count = len(points)
+    _, bell = fock_oracle._cat_projectors(points, None)
+    pairs = reductions(points)
+    quads = np.concatenate([pairs, bell])
+    lam = fock_oracle._check_densities(fock_oracle._partial_trace(pairs, (2, 2), (0,)))
+    s1, s2 = fock_oracle._entropies(lam).reshape(2, count)
+    s12, s23 = fock_oracle._entropies(fock_oracle._check_densities(quads)[: 2 * count]).reshape(2, count)
+    minima = fock_oracle._min_conditional_entropy(fock_oracle._bloch(pairs, 0)).value.reshape(2, count)
+    d12, d23 = s1 - s12 + minima[0], s2 - s23 + minima[1]
+    concurrences = fock_oracle._concurrences(quads)
+    (c13, c23, c12), (e13, e23, e12) = concurrences.reshape(3, count), fock_oracle._eofs(concurrences).reshape(3, count)
+    c1_23 = 2.0 * np.sqrt(np.prod(np.clip(lam[:count], 0.0, None), axis=1))
+    oracle = {"S1": s1, "S2": s2, "S12": s12, "S23": s23, "C12_conc": c12, "C23_conc": c23, "C13_conc": c13,
+              "C1_23_conc": c1_23, "E12": e12, "E23": e23, "E13": e13, "E1_23": s1, "D1_23": s1, "D12": d12,
+              "D23": d23, "Delta123": s1 - 2.0 * d12}
+    return [{name: report(params).as_dict()[name] - float(oracle[name][i]) for name in FIELD_BOUNDS}
+            for i, params in enumerate(points)]
+
+
 def precise_conditional_entropy(rho, direction, digits=40):
     """Conditional entropy of the right qubit of the 4x4 density ``rho``
     after measuring the left one along the unit Bloch vector ``direction``,
@@ -756,6 +779,45 @@ class TestVerify:
         records = verify_points(points)
         assert [record.params for record in records] == points
         assert [record.deviations for record in records] == [verify(params).deviations for params in points]
+
+    @pytest.mark.parametrize("grid", ["default", "random"])
+    def test_records_match_the_projector_route(self, grid):
+        # the reductions taken from the cat vectors and the deviations taken
+        # from one stacked subtraction give every record bit for bit
+        points = verification_grid() if grid == "default" else random_points()
+        records = verify_points(points)
+        expected = projector_route_deviations(points)
+        assert all(list(record.deviations) == list(FIELD_BOUNDS) for record in records)
+        got = np.array([list(record.deviations.values()) for record in records])
+        assert got.tobytes() == np.array([list(deviations.values()) for deviations in expected]).tobytes()
+
+    def test_empty_point_list(self):
+        assert verify_points([]) == []
+        assert discord_numeric([]) == []
+
+    def test_stacked_call_counts_do_not_grow_with_points(self, monkeypatch):
+        # one stacked call per shape: the spectra, the concurrences' square
+        # roots and the partial traces cost the same number of calls at any size
+        counts = {}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(np, "einsum", counting("einsum", np.einsum))
+        seen = []
+        for size in (1, 8, 24):
+            counts.clear()
+            assert len(verify_points(random_points(size, seed=size))) == size
+            seen.append(dict(counts))
+        assert seen[0] == seen[1] == seen[2]
+        # the reductions come from the cat vectors: only rho1, rho2 and the
+        # Pauli forms are traced with einsum
+        assert seen[0]["einsum"] == 2
 
     @pytest.mark.parametrize("alpha2", [0.0, 1e-20])
     def test_strength_without_odd_cat_is_refused(self, alpha2):
