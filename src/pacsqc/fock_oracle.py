@@ -2,7 +2,7 @@
 
 Every state is rebuilt from explicit photon-number amplitudes: overlaps come
 from amplitude summation, reduced densities from partial traces, spectra from
-LAPACK (numpy.linalg.eigvalsh/eigh), concurrence from the spin-flip spectrum,
+LAPACK (numpy.linalg.eigvalsh/eigh), concurrence from each density's factor,
 and discord from direct minimization of the post-measurement conditional
 entropy over projective qubit measurements.  None of the closed forms from
 `states` or `correlations` enter these code paths; the single shared
@@ -275,47 +275,39 @@ def _entropies(spectra):
 
 
 def von_neumann_entropy(rho):
-    """- sum_i lambda_i log2 lambda_i over the spectrum (0 log 0 = 0)."""
-    data = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    """- sum_i lambda_i log2 lambda_i over the spectrum (0 log 0 = 0); a raw
+    array is checked as DensityMatrix checks its data."""
+    data = rho.data if isinstance(rho, DensityMatrix) else DensityMatrix(rho, np.shape(rho)[:1]).data
     return float(_entropies(np.linalg.eigvalsh(data)))
 
 
 _SY_SY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
 
 
-def _psd_sqrt(data):
-    """Principal square roots of a stack of positive semidefinite Hermitian
-    matrices, with eigenvalues below zero (eigensolver noise) clipped to zero."""
-    lam, vec = np.linalg.eigh(data)
-    # np.maximum(x, 0.0) clips as np.clip(x, 0.0, None) does, -0.0 to 0.0 included
-    return (vec * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ _adjoints(vec)
-
-
-def _concurrences(data):
-    """Wootters concurrences of a (B, 4, 4) stack of two-qubit densities."""
-    root = _psd_sqrt(data)
-    product = root @ _SY_SY @ (root.conj() if np.iscomplexobj(root) else root)
-    dilation = np.zeros((len(data), 8, 8), dtype=product.dtype)
-    dilation[:, :4, 4:] = product
-    dilation[:, 4:, :4] = _adjoints(product)
-    lams = np.maximum(np.linalg.eigvalsh(dilation)[:, :3:-1], 0.0)
-    return np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
+def _concurrences(factors):
+    """Wootters concurrences of the densities F F+ of a (B, 4, r) stack of
+    factors F: max(0, s1 - s2 - ...) over the descending singular values of
+    tau = F+ (sy x sy) F*, the |eigenvalues| where tau is real (Wootters,
+    PRL 80, 2245 (1998)); tau is bilinear in F, so no square root of a small
+    eigenvalue enters."""
+    if np.iscomplexobj(factors):
+        values = np.linalg.svd(_adjoints(factors) @ _SY_SY @ factors.conj(), compute_uv=False)
+    else:
+        values = np.sort(np.abs(np.linalg.eigvalsh(np.swapaxes(factors, 1, 2) @ _SY_SY @ factors)))[:, ::-1]
+    return np.maximum(0.0, values[:, 0] - values[:, 1:].sum(axis=1))
 
 
 def wootters_concurrence(rho):
     """max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of the
-    spectrum of rho (sy x sy) rho* (sy x sy).
-
-    The l_i equal the singular values of A = sqrt(rho) (sy x sy) conj(sqrt(rho))
-    since A A+ is exactly the Hermitian similarity of the spin-flip product.
-    They are read off the Hermitian dilation [[0, A], [A+, 0]], whose spectrum
-    is (+-l_i); that keeps the small l_i at absolute working precision instead
-    of square-rooting eigensolver noise.
-    """
-    data = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    spectrum of rho (sy x sy) rho* (sy x sy), from the factor V sqrt(lambda)
+    of rho = V lambda V+ (see `_concurrences`); a raw array is checked as
+    DensityMatrix checks its data."""
+    data = rho.data if isinstance(rho, DensityMatrix) else DensityMatrix(rho, np.shape(rho)[:1]).data
     if data.shape != (4, 4):
         raise ValueError("concurrence is defined for 4x4 two-qubit densities")
-    return float(_concurrences(data[None])[0])
+    lam, vec = np.linalg.eigh(data)
+    # eigensolver noise below zero is clipped to 0.0, -0.0 included
+    return float(_concurrences((vec * np.sqrt(np.maximum(lam, 0.0)))[None])[0])
 
 
 def _require_cat_pairs(points):
@@ -757,7 +749,8 @@ class VerificationRecord:
 
     @property
     def max_abs_deviation(self):
-        return max(map(abs, self.deviations.values()))
+        # a nan comes first, as in `worst` (max alone keeps a value over a later nan)
+        return max(map(abs, self.deviations.values()), key=lambda dev: (math.isnan(dev), dev))
 
     def worst(self, bound_override=None):
         """(field, signed deviation) furthest beyond its bound, relative to the
@@ -788,18 +781,19 @@ def _eofs(concurrences):
     return _binary_entropy_array(0.5 + 0.5 * np.sqrt(1.0 - c * c))
 
 
-def _reductions(ghz):
-    """rho12 = M M^T and rho23 = N^T N of each GHZ weight vector psi, with
-    M = psi as (P, 4, 2) and N = psi as (P, 2, 4), stacked as (2P, 4, 4).
-    Of the two products each entry sums, one is zero (a weight vanishes
-    wherever its index has the wrong parity), so the entries are the
-    projector's entries as tracing it gives them, bit for bit."""
+def _factors(ghz, bell):
+    """Factors F, rho = F F^T, of rho12, rho23 and the Bell projector of each
+    point, (3P, 4, 2): M = psi as (P, 4, 2) (rho12 = M M^T), N^T for N = psi
+    as (P, 2, 4) (rho23 = N^T N), and the Bell weights with a zero second
+    column.  One of the two products in each entry of F F^T is zero (a weight
+    vanishes wherever its index has the wrong parity), so the densities are
+    the traced projectors bit for bit."""
     count = len(ghz)
-    left, right = ghz.reshape(count, 4, 2), ghz.reshape(count, 2, 4)
-    pairs = np.empty((2 * count, 4, 4))
-    np.matmul(left, np.swapaxes(left, 1, 2), out=pairs[:count])
-    np.matmul(np.swapaxes(right, 1, 2), right, out=pairs[count:])
-    return pairs
+    factors = np.zeros((3 * count, 4, 2))
+    factors[:count] = ghz.reshape(count, 4, 2)
+    factors[count : 2 * count] = np.swapaxes(ghz.reshape(count, 2, 4), 1, 2)
+    factors[2 * count :, :, 0] = bell
+    return factors
 
 
 def _records(points, ghz, bell):
@@ -808,15 +802,16 @@ def _records(points, ghz, bell):
     stacked call per shape, and the deviations from one subtraction of the
     closed-form values and the oracle's."""
     count = len(points)
+    factors = _factors(ghz, bell)
     # rho12 and rho23, each measured on its left mode, then the Bell pair
-    pairs = _reductions(ghz)
-    quads = np.concatenate([pairs, bell[:, :, None] * bell[:, None, :]])
+    quads = factors @ np.swapaxes(factors, 1, 2)
+    pairs = quads[: 2 * count]
     lam = _check_densities(_partial_trace(pairs, (2, 2), (0,)))
     # S1 then S2, and S12 then S23
     single, joint = _entropies(lam), _entropies(_check_densities(quads)[: 2 * count])
     d12, d23 = (single - joint + _min_conditional_entropy(_bloch(pairs, 0)).value).reshape(2, count)
     (s1, s2), (s12, s23) = single.reshape(2, count), joint.reshape(2, count)
-    concurrences = _concurrences(quads)
+    concurrences = _concurrences(factors)
     (c13, c23, c12), (e13, e23, e12) = concurrences.reshape(3, count), _eofs(concurrences).reshape(3, count)
     c1_23 = 2.0 * np.sqrt(np.prod(np.maximum(lam[:count], 0.0), axis=1))
     # one row per point, in FIELD_BOUNDS order

@@ -384,9 +384,9 @@ class TestVerifyCommand:
         assert cli._verify_row_format(3) % fields == path.read_text(encoding="utf-8")
 
     def test_nan_deviation_row_and_fail_line(self, tmp_path, monkeypatch, capsys):
-        # a nan deviation is written as "nan", skipped by max_abs_deviation
-        # (Python's max keeps an earlier value over a later nan) and named
-        # first on the FAIL line, as the csv.writer rows of `_fmt` values did
+        # a nan deviation is written as "nan", is the row's max_abs_deviation
+        # and is named first on the FAIL line, as the csv.writer rows of
+        # `_fmt` values did
         from pacsqc import fock_oracle
         from dataclasses import replace
 
@@ -407,7 +407,7 @@ class TestVerifyCommand:
                                 + [cli._fmt(v) for v in record.deviations.values()]
                                 + [cli._fmt(record.max_abs_deviation)])
         assert out.read_bytes() == expected.read_bytes()
-        assert all(row["dev_D12"] == "nan" and row["max_abs_deviation"] != "nan" for row in read_rows(out))
+        assert all(row["dev_D12"] == "nan" and row["max_abs_deviation"] == "nan" for row in read_rows(out))
         assert fails == [
             f"FAIL alpha2={r.params.alpha2:.6g} m={r.params.m} k={r.params.k}: D12 deviates by nan" for r in records
         ]

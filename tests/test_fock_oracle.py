@@ -8,7 +8,7 @@ from pacsqc.special import binary_entropy, laguerre, pacs_overlap
 from pacsqc.states import LimitRegimeError, ModelParams, ghz_rho12, ghz_rho23
 from pacsqc import correlations, fock_oracle
 from pacsqc.correlations import report
-from pacsqc.fock_oracle import _AT_FLOOR, _CAPPED, _CONVERGED, _mode_pairs, _psd_sqrt, _superpositions
+from pacsqc.fock_oracle import _AT_FLOOR, _CAPPED, _CONVERGED, _SY_SY, _mode_pairs, _superpositions
 from pacsqc.fock_oracle import (
     FIELD_BOUNDS,
     DensityMatrix,
@@ -33,6 +33,8 @@ from grid_reference import basin_grid_497
 from zoom_reference import zoom_minima
 
 DISCORD_FIELDS = ("D12", "D23", "Delta123")
+# the fields the oracle takes from the concurrence kernel
+CONCURRENCE_FIELDS = ("C12_conc", "C23_conc", "C13_conc", "E12", "E23", "E13")
 
 
 def random_densities(count, seed):
@@ -125,10 +127,25 @@ def random_points(count=200, seed=14):
     return [ModelParams(float(a), int(m), int(k)) for a, m, k in zip(alpha2, orders, parities)]
 
 
+def dilation_concurrences(data):
+    """Wootters concurrences of a (B, 4, 4) density stack from the densities
+    alone: the singular values of A = sqrt(rho) (sy x sy) sqrt(rho)*, read
+    off the spectrum (+-l_i) of the Hermitian dilation [[0, A], [A+, 0]]."""
+    lam, vec = np.linalg.eigh(data)
+    root = (vec * np.sqrt(np.maximum(lam, 0.0))[:, None, :]) @ np.swapaxes(vec, 1, 2).conj()
+    product = root @ _SY_SY @ root.conj()
+    dilation = np.zeros((len(data), 8, 8), dtype=product.dtype)
+    dilation[:, :4, 4:] = product
+    dilation[:, 4:, :4] = np.swapaxes(product, 1, 2).conj()
+    lams = np.maximum(np.linalg.eigvalsh(dilation)[:, :3:-1], 0.0)
+    return np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
+
+
 def projector_route_deviations(points):
     """Each point's deviations by the projector route: rho12 and rho23
-    traced out of the GHZ projector, and each field's deviation as the
-    report's value minus the oracle's, one float at a time."""
+    traced out of the GHZ projector, concurrences from the densities alone
+    (`dilation_concurrences`), and each field's deviation as the report's
+    value minus the oracle's, one float at a time."""
     count = len(points)
     _, bell = fock_oracle._cat_projectors(points, None)
     pairs = reductions(points)
@@ -138,7 +155,7 @@ def projector_route_deviations(points):
     s12, s23 = fock_oracle._entropies(fock_oracle._check_densities(quads)[: 2 * count]).reshape(2, count)
     minima = fock_oracle._min_conditional_entropy(fock_oracle._bloch(pairs, 0)).value.reshape(2, count)
     d12, d23 = s1 - s12 + minima[0], s2 - s23 + minima[1]
-    concurrences = fock_oracle._concurrences(quads)
+    concurrences = dilation_concurrences(quads)
     (c13, c23, c12), (e13, e23, e12) = concurrences.reshape(3, count), fock_oracle._eofs(concurrences).reshape(3, count)
     c1_23 = 2.0 * np.sqrt(np.prod(np.clip(lam[:count], 0.0, None), axis=1))
     oracle = {"S1": s1, "S2": s2, "S12": s12, "S23": s23, "C12_conc": c12, "C23_conc": c23, "C13_conc": c13,
@@ -308,14 +325,17 @@ class TestJacobiEigensolver:
         rho = DensityMatrix((unitary * known) @ unitary.conj().T, (n,))
         assert_allclose(rho.eigenvalues(), np.sort(known), atol=1e-12)
 
-    def test_eigenvectors_reconstruct(self):
-        # the square root that wootters_concurrence builds from eigenvectors
+    def test_eigenvectors_reconstruct(self, monkeypatch):
+        # the factor F that wootters_concurrence builds from eigenvectors
         rng = np.random.default_rng(3)
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = raw @ raw.conj().T
-        root = _psd_sqrt(rho)
-        assert_allclose(root, root.conj().T, atol=1e-12)
-        assert_allclose(root @ root, rho, atol=1e-12)
+        rho /= np.trace(rho).real
+        factors = []
+        monkeypatch.setattr(fock_oracle, "_concurrences", lambda f: factors.append(f) or np.zeros(len(f)))
+        wootters_concurrence(rho)
+        (factor,) = factors[0]
+        assert_allclose(factor @ factor.conj().T, rho, atol=1e-12)
 
     def test_diagonal_input(self):
         rho = DensityMatrix(np.diag([0.5, 0.2, 0.3]).astype(complex), (3,))
@@ -418,6 +438,49 @@ class TestEntropyAndConcurrence:
         pure = 2.0 * abs(coeffs[0, 0] * coeffs[1, 1] - coeffs[0, 1] * coeffs[1, 0])
         assert wootters_concurrence(rho) == pytest.approx(pure, abs=1e-10)
         assert pure == pytest.approx(report(params).C12_conc, abs=1e-10)
+
+    @pytest.mark.parametrize("function", [wootters_concurrence, von_neumann_entropy])
+    @pytest.mark.parametrize(
+        "case, message",
+        [("doubled", "trace must be 1"), ("skew", "not Hermitian"), ("nan", "trace must be 1"),
+         ("negative", "negative eigenvalue"), ("non-square", "does not match dims")],
+    )
+    def test_raw_arrays_are_checked_as_densities(self, function, case, message):
+        # as DensityMatrix checks its data; before, twice a Bell projector
+        # had concurrence 2 and entropy -2, a skew matrix concurrence 1, and
+        # a nan matrix stopped LAPACK
+        bell = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]) / 2.0
+        skew = bell + 0.25j * np.eye(4, k=3)
+        raw = {"doubled": 2.0 * bell, "skew": skew, "nan": np.full((4, 4), math.nan),
+               "negative": np.diag([1.2, -0.2, 0.0, 0.0]), "non-square": np.eye(4)[:3] / 3.0}[case]
+        with pytest.raises(ValueError, match=message):
+            function(raw)
+
+    def test_concurrences_match_fifty_digit_tau(self):
+        # C from the verify kernel against max(0, s1 - s2) over the singular
+        # values of tau = F^T (sy x sy) F, taken in 50 digits from the same
+        # float factors F, on 150 seeded points (450 concurrences)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(22)
+        alpha2 = np.exp(rng.uniform(math.log(1e-6), math.log(12.0), 150))
+        orders, parities = rng.integers(0, 65, 150), np.arange(150) % 2
+        points = [ModelParams(float(a), int(m), int(k)) for a, m, k in zip(alpha2, orders, parities)]
+        factors = fock_oracle._factors(*fock_oracle._cat_vectors(points, None))
+        precise = []
+        with mpmath.workdps(50):
+            flip = mpmath.matrix(_SY_SY.tolist())
+            for factor in factors:
+                f = mpmath.matrix(factor.tolist())
+                values = sorted((abs(v) for v in mpmath.eigsy(f.T * flip * f, eigvals_only=True)), reverse=True)
+                precise.append(float(max(0, values[0] - values[1])))
+        assert np.abs(fock_oracle._concurrences(factors) - precise).max() <= 2.2e-16
+
+    def test_kernel_matches_the_dilation(self):
+        # on complex densities of rank 1-4, from the eigenvector factors
+        densities = seeded_densities(5, 400, lambda i: i % 4 + 1, lambda i: 1)
+        data = np.array([rho.data for rho in densities])
+        got = [wootters_concurrence(rho) for rho in densities]
+        assert np.abs(np.array(got) - dilation_concurrences(data)).max() <= 4e-15
 
 
 class TestTripartiteBuilder:
@@ -783,41 +846,48 @@ class TestVerify:
     @pytest.mark.parametrize("grid", ["default", "random"])
     def test_records_match_the_projector_route(self, grid):
         # the reductions taken from the cat vectors and the deviations taken
-        # from one stacked subtraction give every record bit for bit
+        # from one stacked subtraction give every field but the concurrences
+        # and EoFs bit for bit; those come from the densities' factors, which
+        # the projector route, holding only rho, does not have
         points = verification_grid() if grid == "default" else random_points()
         records = verify_points(points)
         expected = projector_route_deviations(points)
+        assert [record.params for record in records] == points
         assert all(list(record.deviations) == list(FIELD_BOUNDS) for record in records)
         got = np.array([list(record.deviations.values()) for record in records])
-        assert got.tobytes() == np.array([list(deviations.values()) for deviations in expected]).tobytes()
+        want = np.array([list(deviations.values()) for deviations in expected])
+        factored = np.array([name in CONCURRENCE_FIELDS for name in FIELD_BOUNDS])
+        assert got[:, ~factored].tobytes() == want[:, ~factored].tobytes()
+        assert np.abs(got[:, factored] - want[:, factored]).max() <= 1e-12
 
     def test_empty_point_list(self):
         assert verify_points([]) == []
         assert discord_numeric([]) == []
 
     def test_stacked_call_counts_do_not_grow_with_points(self, monkeypatch):
-        # one stacked call per shape: the spectra, the concurrences' square
-        # roots and the partial traces cost the same number of calls at any size
+        # one stacked call per shape: the spectra, the concurrences and the
+        # partial traces cost the same calls at any size
         counts = {}
 
         def counting(name, function):
             def wrapper(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
+                # LAPACK calls by the shape of the matrices they take
+                key = (name, np.shape(args[0])[1:]) if name != "einsum" else name
+                counts[key] = counts.get(key, 0) + 1
                 return function(*args, **kwargs)
             return wrapper
 
-        for name in ("eigvalsh", "eigh"):
+        for name in ("eigvalsh", "eigh", "svd"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         monkeypatch.setattr(np, "einsum", counting("einsum", np.einsum))
-        seen = []
         for size in (1, 8, 24):
             counts.clear()
             assert len(verify_points(random_points(size, seed=size))) == size
-            seen.append(dict(counts))
-        assert seen[0] == seen[1] == seen[2]
-        # the reductions come from the cat vectors: only rho1, rho2 and the
-        # Pauli forms are traced with einsum
-        assert seen[0]["einsum"] == 2
+            # the spectra of rho1 and rho2, of the 4x4 densities and of the
+            # concurrences' 2x2 tau matrices, with no eigh, no 8x8 dilation
+            # and no svd; the reductions come from the cat vectors, so only
+            # rho1, rho2 and the Pauli forms are traced with einsum
+            assert counts == {("eigvalsh", (2, 2)): 2, ("eigvalsh", (4, 4)): 1, "einsum": 2}
 
     @pytest.mark.parametrize("alpha2", [0.0, 1e-20])
     def test_strength_without_odd_cat_is_refused(self, alpha2):
@@ -835,6 +905,23 @@ class TestVerify:
         for override in (None, 1.0):
             name, dev = broken.worst(override)
             assert name == "D12" and math.isnan(dev)
+
+    def test_nan_deviation_is_the_max_abs_deviation(self):
+        record = verify(ModelParams(0.5, 1, 0))
+        assert math.isfinite(record.max_abs_deviation)
+        # wherever the nan sits among the fields
+        for name in FIELD_BOUNDS:
+            broken = VerificationRecord(record.params, dict(record.deviations, **{name: math.nan}), record.bounds)
+            assert math.isnan(broken.max_abs_deviation), name
+
+    def test_wide_grid_passes(self):
+        # the closed forms' domain, wider than the default grid: m up to 64,
+        # alpha2 from 1e-6 to 12 and both parities, 1080 points
+        strengths = np.geomspace(1e-6, 12.0, 60).tolist()
+        points = [ModelParams(a, m, k) for k in (0, 1) for m in (0, 1, 2, 5, 8, 16, 32, 48, 64) for a in strengths]
+        records = verify_points(points)
+        assert len(records) == 1080
+        assert all(record.passes() for record in records)
 
     def test_grid_drops_repeated_orders_and_parities(self):
         assert verification_grid(0.5, 1.0, 2, (2, 0, 2), (1, 1)) == verification_grid(0.5, 1.0, 2, (0, 2), (1,))
