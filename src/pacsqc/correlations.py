@@ -282,7 +282,9 @@ def _field(m, k, name, alpha2):
             return getattr(w_limit_report(m), name)
         return _evaluate(name, alpha2, m, k)
     limit = _degenerate(alpha2, k)
-    value = np.full(alpha2.shape, _field(m, k, name, 0.0) if limit.any() else math.nan)
+    if not limit.any():
+        return _evaluate(name, alpha2, m, k)
+    value = np.full(alpha2.shape, _field(m, k, name, 0.0))
     value[~limit] = _evaluate(name, alpha2[~limit], m, k)
     return value
 

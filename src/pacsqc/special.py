@@ -123,13 +123,20 @@ def laguerre(m, x):
     return cur
 
 
+# The recurrence's coefficients (2n + 1, n, n + 1) as floats, and for each
+# order m the steps n = 1 .. m - 1 it takes, built once; each equals the
+# value the recurrence would build from n, so reading them changes no rounding.
+_COEFFICIENTS = tuple((2.0 * n + 1.0, float(n), n + 1.0) for n in range(1, MAX_PHOTON_ORDER))
+_STEPS = tuple(_COEFFICIENTS[:max(m - 1, 0)] for m in range(MAX_PHOTON_ORDER + 1))
+
+
 def _recurrence(m, x):
     if m == 0:
         return 1.0 + 0.0 * x  # 1.0, shaped like x
     prev = 1.0
     cur = 1.0 - x
-    for n in range(1, m):
-        prev, cur = cur, ((2.0 * n + 1.0 - x) * cur - n * prev) / (n + 1.0)
+    for c, n, d in _STEPS[m]:
+        prev, cur = cur, ((c - x) * cur - n * prev) / d
     return cur
 
 
@@ -138,8 +145,8 @@ def _scaled_laguerre(m, x, scale):
     # L_m(x) overflows stay in range when scale ~ |x|
     prev = 1.0
     cur = (1.0 - x) / scale
-    for n in range(1, m):
-        prev, cur = cur, ((2.0 * n + 1.0 - x) / scale * cur - n * prev / (scale * scale)) / (n + 1.0)
+    for c, n, d in _STEPS[m]:
+        prev, cur = cur, ((c - x) / scale * cur - n * prev / (scale * scale)) / d
     return cur
 
 
@@ -149,9 +156,11 @@ def kappa(m, alpha2):
     The denominator is a sum of positive terms and therefore strictly
     positive for alpha2 >= 0; the triangle inequality gives |kappa| <= 1.
     Where L_m(-|alpha|^2) overflows (m = 64 from |alpha|^2 ~ 1.5e6) both
-    polynomials are taken in units of |alpha|^(2m) instead.  alpha2 may be
-    a float or a 1-D float64 array; an array takes both polynomials from
-    one recurrence over its negated and plain strengths.
+    polynomials are taken in units of |alpha|^(2m) instead.  A float alpha2
+    runs both polynomials in one loop over precomputed coefficients, each
+    with the operations and roundings of `laguerre`; a 1-D float64 array
+    takes both from one `laguerre` recurrence over its negated and plain
+    strengths.
     """
     if isinstance(alpha2, np.ndarray):
         alpha2 = _check_alpha2_or_array(alpha2)
@@ -161,12 +170,21 @@ def kappa(m, alpha2):
             # the elements whose denominator overflows take the scaled branch
             return _elementwise(functools.partial(kappa, m), alpha2)
         return both[alpha2.size:] / both[:alpha2.size]
-    alpha2 = _check_alpha2(alpha2)
-    try:
-        denominator = laguerre(m, -alpha2)
-    except OverflowError:
-        return _scaled_laguerre(m, alpha2, alpha2) / _scaled_laguerre(m, -alpha2, alpha2)
-    return laguerre(m, alpha2) / denominator
+    m, a = _check_order(m), _check_alpha2(alpha2)
+    if m == 0:
+        return 1.0
+    # numerator L_m(a) and denominator L_m(-a), where c - (-a) is c + a and
+    # 1.0 - (-a) is 1.0 + a, bit for bit
+    num_prev = den_prev = 1.0
+    num, den = 1.0 - a, 1.0 + a
+    for c, n, d in _STEPS[m]:
+        num_prev, num = num, ((c - a) * num - n * num_prev) / d
+        den_prev, den = den, ((c + a) * den - n * den_prev) / d
+    if not math.isfinite(den):
+        return _scaled_laguerre(m, a, a) / _scaled_laguerre(m, -a, a)
+    if not math.isfinite(num):
+        raise OverflowError(f"L_{m}({a!r}) leaves the float range in the Laguerre recurrence")
+    return num / den
 
 
 def kappa_small_alpha(m, alpha2):
@@ -208,10 +226,16 @@ def binary_entropy(x):
 
 def _binary_entropy_array(x):
     # binary_entropy of every element of a checked float64 array, with the
-    # float function's check, roundings (C-library log2) and zeros
-    _first_failure(binary_entropy, x, (x >= -_ENTROPY_GUARD) & (x <= 1.0 + _ENTROPY_GUARD))
+    # float function's check, roundings (C-library log2) and zeros; an array
+    # inside (0, 1) passes the check and needs no gather or scatter
     inside = (x > 0.0) & (x < 1.0)
-    y = x[inside]
+    if inside.all():
+        return _entropy_inside(x)
+    _first_failure(binary_entropy, x, (x >= -_ENTROPY_GUARD) & (x <= 1.0 + _ENTROPY_GUARD))
     h = np.zeros(x.shape)
-    h[inside] = -(y * _elementwise(math.log2, y) + (1.0 - y) * _elementwise(math.log2, 1.0 - y))
+    h[inside] = _entropy_inside(x[inside])
     return h
+
+
+def _entropy_inside(y):
+    return -(y * _elementwise(math.log2, y) + (1.0 - y) * _elementwise(math.log2, 1.0 - y))

@@ -7,7 +7,7 @@ from pacsqc import special
 from pacsqc.fock_oracle import build_tripartite
 from pacsqc.special import binary_entropy
 from pacsqc.states import LimitRegimeError, ModelParams, ghz_rho12, ghz_rho23
-from pacsqc import correlations
+from pacsqc import correlations, states
 from pacsqc.states import DEGENERATE_ALPHA2
 from pacsqc.correlations import (
     QUANTITIES,
@@ -372,18 +372,33 @@ class TestReport:
 
     @pytest.mark.parametrize("m", [1, 2, 7, 64])
     def test_laguerre_runs_twice_per_report(self, monkeypatch, m):
-        calls = []
-        laguerre = special.laguerre
+        # L_m(a) and L_m(-a) both run, in one pass over the recurrence's
+        # coefficient table: a float `report` reads the table once and calls
+        # no `laguerre`, an array `kappa` makes one `laguerre` call over the
+        # negated and plain strengths
+        calls, reads = [], []
+        laguerre, steps = special.laguerre, special._STEPS
 
         def counted(*args):
             calls.append(args)
             return laguerre(*args)
 
+        class CountedSteps:
+            def __getitem__(self, order):
+                reads.append(order)
+                return steps[order]
+
         monkeypatch.setattr(special, "laguerre", counted)
+        monkeypatch.setattr(special, "_STEPS", CountedSteps())
         for params in (ModelParams(0.3, m, 0), ModelParams(2.0, m, 1)):
             calls.clear()
+            reads.clear()
             report(params)
-            assert len(calls) == 2
+            assert (len(calls), reads) == (0, [m])
+        calls.clear()
+        reads.clear()
+        special.kappa(m, np.array([0.3, 2.0]))
+        assert (len(calls), reads) == (1, [m])
 
 
 class TestViolationThreshold:
@@ -506,6 +521,19 @@ class TestClosedForms:
             closed_forms(np.array([0.5, bad]), 1, 0)
         assert str(array.value) == str(scalar.value)
 
+    @pytest.mark.parametrize("lo", [0.0, 0.01])
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("m", [0, 1, 16, 64])
+    def test_field_array_equals_float_calls(self, m, k, lo):
+        # from alpha2 = 0 an odd-parity grid holds degenerate strengths (the
+        # masked path); from 0.01 none does, nor does any even-parity grid
+        grid = peak_scan_grid(lo=lo, hi=0.5, n=120)
+        assert (k == 1 and lo == 0.0) == bool(states._degenerate(np.array(grid), k).any())
+        for name in ("D12", "Delta123"):
+            scanned = correlations._field(m, k, name, np.array(grid))
+            assert scanned.dtype == np.float64
+            assert scanned.tolist() == [correlations._field(m, k, name, a) for a in grid], name
+
     def test_invalid_order_and_parity(self):
         with pytest.raises(ValueError):
             closed_forms(np.array([0.5]), 65, 0)
@@ -525,6 +553,15 @@ class TestFinderAnswers:
         (2, 1): (0.01160842544573909, (0.010000000035355098, 0.48739455109577623)),
         (5, 0): (None, (0.17620217796352453, 0.20051720245975782)),
         (5, 1): (None, (0.010000000035355098, 0.37392648831658576)),
+        # orders where the recurrence runs long
+        (16, 0): (None, (0.1395027201383157, 0.2234937249548704)),
+        (16, 1): (None, (0.010000000035355098, 0.20850731228043365)),
+        (33, 0): (None, (0.12412567400846154, 0.21907652194639168)),
+        (33, 1): (None, (0.14860551855794443, 0.2114812368883589)),
+        (48, 0): (None, (0.13210759400002944, 0.21509807824378585)),
+        (48, 1): (None, (0.14309731339308895, 0.2139818662755312)),
+        (63, 0): (None, (0.13772772141582657, 0.21411360717805974)),
+        (63, 1): (None, (0.13947000705716134, 0.21473338354219926)),
         (64, 0): (None, (0.13792405738762106, 0.21409577333401594)),
         (64, 1): (None, (0.1393096747731282, 0.21474964014797948)),
     }

@@ -94,6 +94,26 @@ class TestKappa:
         assert abs(rep.D1_23 - 1.0) <= 1e-6
         assert abs(rep.Delta123 - 1.0) <= 1e-5
 
+    def test_float_call_is_the_laguerre_ratio(self):
+        # the one-loop float path gives L_m(a) / L_m(-a) of two `laguerre`
+        # calls bit for bit
+        rng = np.random.default_rng(20)
+        strengths = [0.0] + (10.0 ** rng.uniform(-8.0, math.log10(20.0), 60)).tolist()
+        for m in range(MAX_PHOTON_ORDER + 1):
+            for alpha2 in strengths:
+                assert kappa(m, alpha2) == laguerre(m, alpha2) / laguerre(m, -alpha2), (m, alpha2)
+
+    def test_scaled_branch_where_the_denominator_overflows(self):
+        # L_64(-a) leaves the float range from a ~ 1.5152e6: below it the
+        # float call is the plain ratio, above it the scaled one, exactly
+        for alpha2 in (1.4e6, 1.5e6):
+            assert math.isfinite(laguerre(64, -alpha2)) and math.isfinite(laguerre(64, alpha2))
+            assert kappa(64, alpha2) == laguerre(64, alpha2) / laguerre(64, -alpha2)
+        for alpha2 in (1.6e6, 1e10, 1e300):
+            with pytest.raises(OverflowError):
+                laguerre(64, -alpha2)
+            assert kappa(64, alpha2) == _scaled_laguerre(64, alpha2, alpha2) / _scaled_laguerre(64, -alpha2, alpha2)
+
     def test_scaled_recurrence_matches_direct_ratio(self):
         for m, alpha2 in ((64, 1e6), (63, 1e6), (5, 30.0), (1, 2.0)):
             scaled = _scaled_laguerre(m, alpha2, alpha2) / _scaled_laguerre(m, -alpha2, alpha2)
@@ -206,9 +226,23 @@ class TestArrays:
         x = np.concatenate([[-5e-13, 0.0, 5e-324, 0.5, 1.0 - 1e-16, 1.0, 1.0 + 5e-13], np.linspace(0.0, 1.0, 1001)])
         assert _binary_entropy_array(x).tolist() == [binary_entropy(v) for v in x.tolist()]
 
+    def test_binary_entropy_inside_matches_float_calls(self):
+        # every element inside (0, 1): the path without gather and scatter
+        x = np.concatenate([[5e-324, 1e-300, 1e-13, 0.5, 1.0 - 1e-13, 1.0 - 1e-16], np.linspace(0.0, 1.0, 1001)[1:-1]])
+        assert _binary_entropy_array(x).tolist() == [binary_entropy(v) for v in x.tolist()]
+        # the same arrays with exact ends and guard-band values added
+        for edge in (0.0, 1.0, -1e-13, 1.0 + 1e-13):
+            y = np.append(x, edge)
+            assert _binary_entropy_array(y).tolist() == [binary_entropy(v) for v in y.tolist()], edge
+
     @pytest.mark.parametrize("bad", [math.nan, -1e-11, 1.0 + 1e-11])
     def test_binary_entropy_rejects_as_float_call(self, bad):
         with pytest.raises(ValueError) as info:
             _binary_entropy_array(np.array([0.5, bad]))
         assert (info.type, str(info.value)) == scalar_error(binary_entropy, bad)
+        # wherever it sits among elements inside (0, 1)
+        for at in (0, 1, 2):
+            with pytest.raises(ValueError) as info:
+                _binary_entropy_array(np.insert(np.array([0.25, 0.5]), at, bad))
+            assert (info.type, str(info.value)) == scalar_error(binary_entropy, bad)
 
