@@ -7,11 +7,15 @@ the GHZ norm 1 + kappa_m e^{-6|alpha|^2} cos k pi, evaluated once per point.
 the non-arithmetic primitives picked once per call, so an array gives the
 float values bit for bit.  `report` wraps the float call in a
 `CorrelationReport`; `discord_12`, `discord_23`, `discord_1_23` and
-`deficit` are views of its fields.  The body runs in two stages: the first
-computes the shared terms and the finders' fields D12 and Delta123 (from
-S1, S12, C23, E23 and D1_23), the second the other fields.  The threshold
-and peak finders evaluate the first stage alone: they scan their grids in
-one array call and refine with float calls.
+`deficit` are views of its fields.  The exponentials e^{-2a}, e^{-4a},
+e^{-6a} and 1 - e^{-4a} depend on the strength alone and enter the body as
+an argument.  The body runs in nested stages: the D12 stage computes
+kappa_m, the GHZ norm and D12 (from S1, S12, C23 and E23), the first stage
+extends it with D1_23 and the deficit Delta123, and the last stage gives
+the other fields.  The threshold and peak finders evaluate the smallest
+stage that holds their field: they scan their grids in one array call,
+with the exponentials built once per scan grid, and refine with float
+calls.
 
 All entropic quantities are in bits.  Pairwise discord is evaluated through
 the Koashi-Winter relation, which replaces the measurement optimization by
@@ -170,7 +174,8 @@ def report(params):
     analytic limits with the missing fields left as None."""
     if params.is_degenerate:
         return replace(w_limit_report(params.m, params.k), params=params)
-    return CorrelationReport(params, *_closed_forms(params.alpha2, params.m, params.k))
+    a = params.alpha2
+    return CorrelationReport(params, *_closed_forms(a, params.m, params.k, _strength_terms(a)))
 
 
 def closed_forms(alpha2, m=0, k=0):
@@ -183,7 +188,7 @@ def closed_forms(alpha2, m=0, k=0):
     """
     a, m, k = _check_alpha2_or_array(alpha2), _check_order(m), _check_parity(k)
     _require_regular(a, k)
-    return dict(zip(QUANTITIES, _closed_forms(a, m, k)))
+    return dict(zip(QUANTITIES, _closed_forms(a, m, k, _strength_terms(a))))
 
 
 def _square(v):
@@ -194,41 +199,48 @@ def _nonneg(v):
     return max(0.0, v)
 
 
-# The closed forms' primitives beyond + - * / on float64 arrays: numpy where
-# it rounds exactly (sqrt, maximum), else the C-library function per element
-# (exp, expm1, pow, log2), so every element rounds as the float call does.
-_ARRAY_PRIMITIVES = (
-    functools.partial(_elementwise, math.exp),
-    functools.partial(_elementwise, math.expm1),
-    np.sqrt,
-    functools.partial(_elementwise, _square),
-    functools.partial(np.maximum, 0.0),
-    _binary_entropy_array,
-    _eof_array,
-)
+def _primitives(a):
+    # The closed forms' primitives beyond + - * /, picked per call from the
+    # module's names: (exp, expm1, sqrt, square, nonneg, entropy, eof).  On
+    # float64 arrays numpy where it rounds exactly (sqrt, maximum), else the
+    # C-library function per element (exp, expm1, pow, log2), so every
+    # element rounds as the float call does.
+    if not isinstance(a, np.ndarray):
+        return math.exp, math.expm1, math.sqrt, _square, _nonneg, binary_entropy, eof_from_concurrence
+    each = functools.partial(functools.partial, _elementwise)
+    return (
+        each(math.exp), each(math.expm1), np.sqrt, each(_square), functools.partial(np.maximum, 0.0),
+        _binary_entropy_array, _eof_array,
+    )
 
 
-# The fields `_first_stage` computes, in the order it returns them.
-_FIRST_STAGE = ("S1", "S12", "C23_conc", "E23", "D1_23", "D12", "Delta123")
+def _strength_terms(a):
+    # The closed forms' exponentials of a = |alpha|^2 (float or checked 1-D
+    # array): e^{-2a}, e^{-4a}, e^{-6a} and 1 - e^{-4a}.  They depend on the
+    # strength alone, so a finder builds them once per scan grid.  A float
+    # takes math's functions without building the other primitives.
+    exp, expm1 = _primitives(a)[:2] if isinstance(a, np.ndarray) else (math.exp, math.expm1)
+    return exp(-2.0 * a), exp(-4.0 * a), exp(-6.0 * a), -expm1(-4.0 * a)
 
 
-def _first_stage(a, m, k):
-    # a = |alpha|^2 (float or checked 1-D array), checked m and k.  The
-    # _FIRST_STAGE fields, which hold the finders' fields D12 and Delta123,
-    # then what every other field shares: the primitives, picked per call
-    # from the module's names, and the terms (s, km, e2, e4, denom, one_m_e4).
-    if isinstance(a, np.ndarray):
-        primitives = _ARRAY_PRIMITIVES
-    else:
-        primitives = math.exp, math.expm1, math.sqrt, _square, _nonneg, binary_entropy, eof_from_concurrence
-    exp, expm1, _, _, _, entropy, eof = primitives
+# The fields of the nested stages, in the order each returns them: the D12
+# stage holds the peak finder's field, the first stage extends it with the
+# threshold finder's field Delta123, and `_closed_forms` gives the rest.
+_D12_STAGE = ("S1", "S12", "C23_conc", "E23", "D12")
+_FIRST_STAGE = _D12_STAGE + ("D1_23", "Delta123")
+
+
+def _d12_stage(a, m, k, terms):
+    # a = |alpha|^2 (float or checked 1-D array), checked m and k, and a's
+    # `_strength_terms`.  The _D12_STAGE fields, then what the later stages
+    # share: the primitives, s = cos k pi, kappa_m and the GHZ norm.
+    primitives = _primitives(a)
+    entropy, eof = primitives[5:]
+    e2, e4, e6, one_m_e4 = terms
     s = 1 - 2 * k  # cos k pi
     km = kappa(m, a)
-    e2 = exp(-2.0 * a)
-    e4 = exp(-4.0 * a)
     # GHZ norm 1 + kappa_m e^{-6a} cos k pi
-    denom = 1.0 + km * exp(-6.0 * a) * s
-    one_m_e4 = -expm1(-4.0 * a)
+    denom = 1.0 + km * e6 * s
     # Each reduced density has rank two, so every entropy is the binary entropy
     # of its larger eigenvalue; purity of the three-mode state forces S1 = S23
     # and S2 = S12, but each formula keeps its own line.
@@ -239,16 +251,26 @@ def _first_stage(a, m, k):
     c23 = abs(km) * e2 * one_m_e4 / denom
     e23 = eof(c23)
     d12 = s1 - s12 + e23  # Koashi-Winter, measurement on mode 1
+    return s1, s12, c23, e23, d12, primitives, s, km, denom
+
+
+def _first_stage(a, m, k, terms):
+    # the _FIRST_STAGE fields (the D12 stage's, then D1_23 and Delta123),
+    # then what the D12 stage shares
+    s1, s12, c23, e23, d12, primitives, s, km, denom = _d12_stage(a, m, k, terms)
+    entropy = primitives[5]
+    e2, e4 = terms[:2]
     # pure 1|(23) cut, D = E = H(1/2 + (kappa_m e^{-2a} + e^{-4a} cos k pi) / (2 denom))
     d1_23 = entropy(0.5 + 0.5 * (km * e2 + e4 * s) / denom)
     delta = d1_23 - 2.0 * d12  # D_{1|23} - D_12 - D_13, and D_13 = D_12
-    return s1, s12, c23, e23, d1_23, d12, delta, primitives, s, km, e2, e4, denom, one_m_e4
+    return s1, s12, c23, e23, d12, d1_23, delta, primitives, s, km, denom
 
 
-def _closed_forms(a, m, k):
+def _closed_forms(a, m, k, terms):
     # every field, in QUANTITIES order: the first stage, then the others
-    s1, s12, c23, e23, d1_23, d12, delta, primitives, s, km, e2, e4, denom, one_m_e4 = _first_stage(a, m, k)
+    s1, s12, c23, e23, d12, d1_23, delta, primitives, s, km, denom = _first_stage(a, m, k, terms)
     _, expm1, sqrt, square, nonneg, entropy, eof = primitives
+    e2, e4, _, one_m_e4 = terms
     s2 = entropy(0.5 * (1.0 + e2) * (1.0 + km * e4 * s) / denom)
     s23 = entropy(0.5 * (1.0 + e4 * s) * (1.0 + km * e2) / denom)
     radial = nonneg(1.0 - square(km) * e4)
@@ -265,28 +287,40 @@ def _closed_forms(a, m, k):
     return s1, s2, s12, s23, c12, c23, c13, c1_23, e12, e23, e13, d1_23, d12, d23, d1_23, delta
 
 
-def _evaluate(name, a, m, k):
-    # `report` field `name` at a checked float or array strength, from the
-    # first stage alone where it holds the field
+def _evaluate(name, a, m, k, terms):
+    # `report` field `name` at a checked float or array strength with its
+    # strength terms, from the smallest stage that holds the field
+    if name in _D12_STAGE:
+        return _d12_stage(a, m, k, terms)[_D12_STAGE.index(name)]
     if name in _FIRST_STAGE:
-        return _first_stage(a, m, k)[_FIRST_STAGE.index(name)]
-    return _closed_forms(a, m, k)[QUANTITIES.index(name)]
+        return _first_stage(a, m, k, terms)[_FIRST_STAGE.index(name)]
+    return _closed_forms(a, m, k, terms)[QUANTITIES.index(name)]
 
 
-def _field(m, k, name, alpha2):
+def _field(m, k, name, alpha2, terms=None):
     # the finders' field: `report` field `name` at a float or at each
-    # element of a checked array; degenerate strengths take the W-type
+    # element of a checked array, whose strength terms a scan passes in
+    # (built here when it does not); degenerate strengths take the W-type
     # limit, which an array takes from its value at alpha2 = 0
     if not isinstance(alpha2, np.ndarray):
         if _degenerate(alpha2, k):
             return getattr(w_limit_report(m), name)
-        return _evaluate(name, alpha2, m, k)
+        return _evaluate(name, alpha2, m, k, _strength_terms(alpha2))
+    if terms is None:
+        terms = _strength_terms(alpha2)
     limit = _degenerate(alpha2, k)
     if not limit.any():
-        return _evaluate(name, alpha2, m, k)
+        return _evaluate(name, alpha2, m, k, terms)
+    regular = ~limit
     value = np.full(alpha2.shape, _field(m, k, name, 0.0))
-    value[~limit] = _evaluate(name, alpha2[~limit], m, k)
+    value[regular] = _evaluate(name, alpha2[regular], m, k, tuple(t[regular] for t in terms))
     return value
+
+
+def _read_only(x):
+    # x, frozen: a finder's cached scan grid and terms are shared by every call
+    x.flags.writeable = False
+    return x
 
 
 _SCAN_LO = 1e-6
@@ -295,12 +329,12 @@ _SCAN_POINTS = 200
 # Deficit magnitudes below this count as zero when looking for a sign change,
 # so float noise at a monogamous boundary cannot fake a crossing.
 _SIGN_BAND = 1e-9
-# The log grid `violation_threshold` scans, built once.
+# The log grid `violation_threshold` scans and its strength terms, built once.
 _SCAN_EXP_LO, _SCAN_EXP_HI = math.log10(_SCAN_LO), math.log10(_SCAN_HI)
-_THRESHOLD_GRID = np.array([
+_THRESHOLD_GRID = _read_only(np.array([
     10.0 ** (_SCAN_EXP_LO + i * (_SCAN_EXP_HI - _SCAN_EXP_LO) / (_SCAN_POINTS - 1)) for i in range(_SCAN_POINTS)
-])
-_THRESHOLD_GRID.flags.writeable = False
+]))
+_THRESHOLD_TERMS = tuple(map(_read_only, _strength_terms(_THRESHOLD_GRID)))
 
 
 def violation_threshold(m, k=1):
@@ -312,7 +346,7 @@ def violation_threshold(m, k=1):
     whole window).
     """
     f = functools.partial(_field, _check_order(m), _check_parity(k), "Delta123")
-    values = f(_THRESHOLD_GRID).tolist()
+    values = f(_THRESHOLD_GRID, _THRESHOLD_TERMS).tolist()
     for i in range(_SCAN_POINTS - 1):
         v0, v1 = values[i], values[i + 1]
         if (v0 < -_SIGN_BAND and v1 > _SIGN_BAND) or (v0 > _SIGN_BAND and v1 < -_SIGN_BAND):
@@ -331,6 +365,17 @@ def violation_threshold(m, k=1):
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_PEAK_POINTS = 400
+
+
+@functools.lru_cache(maxsize=8)
+def _peak_grid(lo, hi):
+    # the coarse grid `discord_12_peak` scans over checked [lo, hi], and its
+    # strength terms, read-only; each step rounds as
+    # lo + i * (hi - lo) / (n - 1) does in floats.  lo = -0.0 shares the
+    # entry of 0.0: both give the same grid bit for bit.
+    grid = lo + np.arange(_PEAK_POINTS) * (hi - lo) / (_PEAK_POINTS - 1)
+    return _read_only(grid), tuple(map(_read_only, _strength_terms(grid)))
 
 
 def discord_12_peak(m, k=0, lo=0.01, hi=4.0):
@@ -340,16 +385,15 @@ def discord_12_peak(m, k=0, lo=0.01, hi=4.0):
     narrows the bracket to 1e-10.  Raises ValueError unless lo and hi are
     finite and non-negative with lo < hi.
     """
-    n = 400
+    n = _PEAK_POINTS
     lo, hi = _check_alpha2(lo), _check_alpha2(hi)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
     if not math.isfinite((n - 1) * (hi - lo)):
         raise ValueError(f"need a finite {n}-point grid over [lo, hi], got lo={lo!r}, hi={hi!r}")
     f = functools.partial(_field, _check_order(m), _check_parity(k), "D12")
-    # each step rounds as lo + i * (hi - lo) / (n - 1) does in floats
-    grid = lo + np.arange(n) * (hi - lo) / (n - 1)
-    best = max(range(n), key=f(grid).tolist().__getitem__)
+    grid, terms = _peak_grid(lo, hi)
+    best = max(range(n), key=f(grid, terms).tolist().__getitem__)
     a = float(grid[max(best - 1, 0)])
     b = float(grid[min(best + 1, n - 1)])
     x1 = b - _GOLDEN * (b - a)

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -570,8 +571,132 @@ class TestFinderAnswers:
     def test_pinned(self, point):
         assert (violation_threshold(*point), discord_12_peak(*point)) == self.PINNED[point]
 
+    # (m, k): discord_12_peak on the windows below.  Odd parity runs the
+    # masked degenerate branch on (0, 1) and (1e-9, 1e-3); every window
+    # is a scan grid of its own.
+    WINDOWS = ((0.0, 1.0), (0.5, 7.0), (1e-9, 1e-3))
+    WINDOW_PEAKS = {
+        (0, 0): (
+            (0.34657358185823217, 0.18729859856877246), (0.5000000000355963, 0.160695903701599),
+            (0.0009999999683576602, 2.1334302780518772e-05),
+        ),
+        (0, 1): (
+            (3.7535487406702095e-11, 0.5500477595827576), (0.5000000000355963, 0.1885819223512134),
+            (1.0316423397153337e-09, 0.5500477595827576),
+        ),
+        (2, 0): (
+            (0.21504631150959658, 0.1886534897401793), (0.5000000000355963, 0.08737083196867633),
+            (0.0009999999683576602, 5.649293651467675e-05),
+        ),
+        (2, 1): (
+            (3.7535487406702095e-11, 0.4992474111783771), (0.5000000000355963, 0.08806316555702629),
+            (1.0316423397153337e-09, 0.4992474111783771),
+        ),
+        (16, 0): (
+            (0.13950272782528003, 0.2234937249548709), (0.5000000000355963, 0.0866916160412495),
+            (0.0009999999683576602, 0.00026474907276613627),
+        ),
+        (16, 1): (
+            (3.7535487406702095e-11, 0.21557909019385987), (0.5000000000355963, 0.0867173101306765),
+            (1.0316423397153337e-09, 0.21557909019385987),
+        ),
+        (64, 0): (
+            (0.13792404963525912, 0.2140957733340171), (0.5000000000355963, 0.08670193180507606),
+            (0.0009999999683576602, 0.0008719835488204418),
+        ),
+        (64, 1): (
+            (0.1393096827757514, 0.2147496401479789), (0.5000000000355963, 0.08670174566714275),
+            (1.0316423397153337e-09, 0.08475749309984701),
+        ),
+    }
+
+    @pytest.mark.parametrize("point", sorted(WINDOW_PEAKS))
+    def test_pinned_windows(self, point):
+        # twice per window: the second call scans the cached grid and terms
+        for _ in range(2):
+            peaks = tuple(discord_12_peak(*point, lo, hi) for lo, hi in self.WINDOWS)
+            assert peaks == self.WINDOW_PEAKS[point]
+
     def test_peak_from_degenerate_region(self):
         # a grid that starts at alpha2 = 0 with odd parity goes through the
         # analytic limits of `report` point by point
         assert discord_12_peak(1, 1, lo=0.0) == (3.544370638627595e-11, 0.5433007782061372)
 
+
+
+class TestScanCost:
+    """The finders' scans make the per-element C-library passes their field
+    needs: the strength terms come once per scan grid, and a D12 scan stops
+    before the deficit."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        # per-element passes (`_elementwise`) by function name, and the
+        # entropy-array calls under "entropy"
+        counts = collections.Counter()
+        elementwise, entropy = special._elementwise, correlations._binary_entropy_array
+
+        def counted_passes(fn, x):
+            counts[fn.__name__] += 1
+            return elementwise(fn, x)
+
+        def counted_entropy(x):
+            counts["entropy"] += 1
+            return entropy(x)
+
+        monkeypatch.setattr(special, "_elementwise", counted_passes)
+        monkeypatch.setattr(correlations, "_elementwise", counted_passes)
+        monkeypatch.setattr(correlations, "_binary_entropy_array", counted_entropy)
+        return counts
+
+    @pytest.mark.parametrize("m", [0, 2, 64])
+    def test_stage_passes(self, passes, m):
+        grid, terms = correlations._peak_grid(0.01, 4.0)
+        correlations._field(m, 0, "D12", grid, terms)
+        assert passes == {"log2": 6, "entropy": 3}
+        passes.clear()
+        correlations._field(m, 1, "Delta123", correlations._THRESHOLD_GRID, correlations._THRESHOLD_TERMS)
+        assert passes == {"log2": 8, "entropy": 4}
+
+    @pytest.mark.parametrize("m, k, lo, hi", [(0, 0, 0.02, 3.0), (2, 1, 0.0, 0.75), (64, 0, 0.01, 4.0)])
+    def test_repeated_peak_builds_no_exponentials(self, passes, m, k, lo, hi):
+        # (0.0, 0.75) with odd parity scans through the degenerate mask
+        correlations._peak_grid.cache_clear()
+        discord_12_peak(m, k, lo, hi)
+        assert passes == {"exp": 3, "expm1": 1, "log2": 6, "entropy": 3}
+        passes.clear()
+        discord_12_peak(m, k, lo, hi)
+        assert passes == {"log2": 6, "entropy": 3}
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 64])
+    def test_threshold_builds_no_exponentials(self, passes, m, k):
+        violation_threshold(m, k)
+        assert passes == {"log2": 8, "entropy": 4}
+
+    def test_closed_forms_passes(self, passes):
+        closed_forms(np.array([0.3, 2.0]), 7, 1)
+        assert passes == {"exp": 3, "expm1": 2, "_square": 1, "log2": 16, "entropy": 8}
+
+
+class TestScanArrays:
+    """The cached scan grids and their strength terms are shared by every
+    finder call, so they are read-only."""
+
+    def cached(self):
+        grid, terms = correlations._peak_grid(0.01, 4.0)
+        return (grid, *terms, correlations._THRESHOLD_GRID, *correlations._THRESHOLD_TERMS)
+
+    def test_writes_raise(self):
+        for x in self.cached():
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0
+
+    @pytest.mark.parametrize("lo, hi", [(0.01, 4.0), (0.0, 2.0), (-0.0, 2.0), (1e-7, 1e-7 + 1e-13)])
+    def test_grid_is_inline_formula(self, lo, hi):
+        # (0.0, 2.0) runs first, so lo = -0.0 finds the cache entry of 0.0
+        n = correlations._PEAK_POINTS
+        grid, terms = correlations._peak_grid(lo, hi)
+        inline = lo + np.arange(n) * (hi - lo) / (n - 1)
+        assert grid.tobytes() == inline.tobytes()
+        assert tuple(t.tobytes() for t in terms) == tuple(t.tobytes() for t in correlations._strength_terms(inline))
