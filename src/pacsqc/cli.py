@@ -5,9 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 """
 
 import argparse
-import csv
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -114,22 +114,41 @@ def _fmt(value):
     return format(value, ".17g")
 
 
-def _verify_row_format(floats):
-    """%-format of one verify CSV row: alpha2, p, m, k and ``floats`` more
-    floats, byte for byte as `_fmt` and csv.writer write them ("%.17g"
-    prints a nan as "nan", as `_fmt` does, and no field needs quoting)."""
-    return "%.17g,%.17g,%d,%d" + ",%.17g" * floats + "\n"
+def _row_format(floats):
+    """%-format of one CSV row: alpha2, p, m, k and ``floats`` more floats,
+    byte for byte as `_fmt` and csv.writer write them ("%.17g" prints a nan
+    as "nan", as `_fmt` does; "%s" prints m and k as str() does; no field
+    needs quoting)."""
+    return "%.17g,%.17g,%s,%s" + ",%.17g" * floats + "\n"
 
 
 def run_sweep(spec):
-    """Return (header, rows) for the sweep. rows is a lazy iterator: each row
-    is evaluated when it is drawn, sorted by (k, m, axis value), with all
-    floats printed with 17 significant digits."""
-    header = ["alpha2", "p", "m", "k"] + list(spec.quantities)
-    return header, _sweep_rows(spec)
+    """Return (header, rows) for the sweep. rows is a lazy iterator of lists
+    of field strings: each row is evaluated when it is drawn, sorted by
+    (k, m, axis value), with all floats printed with 17 significant digits
+    (a field with no value, a W-limit quantity, as nan). It is the
+    `_sweep_lines` line of the row split at its commas."""
+    return _sweep_header(spec), (line[:-1].split(",") for line in _sweep_lines(spec))
 
 
-def _sweep_rows(spec):
+def _sweep_header(spec):
+    return ["alpha2", "p", "m", "k"] + list(spec.quantities)
+
+
+def _quantity_values(names):
+    """Function of a report giving the tuple of its ``names`` fields
+    (attrgetter of one name gives the bare value, of none it raises)."""
+    if len(names) == 1:
+        value = operator.attrgetter(names[0])
+        return lambda rep: (value(rep),)
+    return operator.attrgetter(*names) if names else lambda rep: ()
+
+
+def _sweep_lines(spec):
+    """One CSV line per sweep row, in run_sweep's order, each written by one
+    `_row_format` %-format."""
+    row = _row_format(len(spec.quantities))
+    values = _quantity_values(spec.quantities)
     for k in sorted(set(spec.k_list)):
         for m in sorted(set(spec.m_list)):
             for i in range(spec.steps):
@@ -139,20 +158,19 @@ def _sweep_rows(spec):
                 else:
                     # abs() turns the -0.0 of p = 1 into 0.0 and leaves every other value as is
                     alpha2, p = abs(-0.5 * math.log(value)), value
-                rep = report(ModelParams(alpha2, m, k))
-                row = [_fmt(alpha2), _fmt(p), str(m), str(k)]
-                row += [_fmt(getattr(rep, name)) for name in spec.quantities]
-                yield row
+                fields = values(report(ModelParams(alpha2, m, k)))
+                if None in fields:
+                    fields = tuple(math.nan if v is None else v for v in fields)
+                yield row % (alpha2, p, m, k, *fields)
 
 
-def _write_csv(path, header, rows):
-    """Open path, then write the header and each row as rows yields it, so a
-    lazy rows is evaluated only once the file is open and never held whole;
-    a failure while rows are drawn leaves the file cut short."""
+def _write_csv(path, header, lines):
+    """Open path, then write the header and each line as lines yields it, so
+    a lazy lines is evaluated only once the file is open and never held
+    whole; a failure while lines are drawn leaves the file cut short."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\n")
+        handle.writelines(lines)
 
 
 _PLOT_TEMPLATE = """# Plot helper generated alongside {csv_path}
@@ -187,15 +205,13 @@ def _cmd_sweep(args):
         quantities=args.quantities,
         output=args.out,
     )
-    header, rows = run_sweep(spec)
-    _write_csv(spec.output, header, rows)
+    _write_csv(spec.output, _sweep_header(spec), _sweep_lines(spec))
     return EXIT_OK
 
 
 def _cmd_figure(args):
     spec = figure_spec(args.id, args.out)
-    header, rows = run_sweep(spec)
-    _write_csv(spec.output, header, rows)
+    _write_csv(spec.output, _sweep_header(spec), _sweep_lines(spec))
     if args.plot_script:
         quantity = spec.quantities[0]
         with open(args.plot_script, "w", encoding="utf-8") as handle:
@@ -216,7 +232,7 @@ def _cmd_verify(args):
     # a degenerate parity, a cutoff too small) is a usage error
     vectors = fock_oracle._cat_vectors(points, args.nmax_override)
     header = ["alpha2", "p", "m", "k"] + [f"dev_{name}" for name in fock_oracle.FIELD_BOUNDS] + ["max_abs_deviation"]
-    row = _verify_row_format(len(fock_oracle.FIELD_BOUNDS) + 1)
+    row = _row_format(len(fock_oracle.FIELD_BOUNDS) + 1)
     failed = []
 
     def records():

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 
 import pytest
+from csv_reference import sweep_csv_bytes
 
 from pacsqc import cli
 from pacsqc.cli import (
@@ -205,6 +206,108 @@ class TestStreamedOutput:
         assert list(rows) == written[1:]
 
 
+# run_sweep files captured before sweep rows were one %-format each: no
+# quantity (4 columns), one quantity through p = 1 (a W-limit D12 at k = 1),
+# all 16 with the W-limit's missing fields as nan, and m and k given as a
+# float and a bool, which the rows print as str() does
+PINNED_SWEEPS = [
+    (
+        SweepSpec("alpha2", 0.5, 1.5, 3, [2, 0], [1], [], "x"),
+        "alpha2,p,m,k\n"
+        "0.5,0.36787944117144233,0,1\n"
+        "1,0.1353352832366127,0,1\n"
+        "1.5,0.049787068367863944,0,1\n"
+        "0.5,0.36787944117144233,2,1\n"
+        "1,0.1353352832366127,2,1\n"
+        "1.5,0.049787068367863944,2,1\n",
+    ),
+    (
+        SweepSpec("p", 0.5, 1.0, 3, [1], [1, 0], ["D12"], "x"),
+        "alpha2,p,m,k,D12\n"
+        "0.34657359027997264,0.5,1,0,0.16544059620519763\n"
+        "0.14384103622589045,0.75,1,0,0.14210134365728355\n"
+        "0,1,1,0,0\n"
+        "0.34657359027997264,0.5,1,1,0.19786137839262841\n"
+        "0.14384103622589045,0.75,1,1,0.38462954015135309\n"
+        "0,1,1,1,0.5433007782061372\n",
+    ),
+    (
+        SweepSpec("p", 0.6, 1.0, 2, [0], [1], list(QUANTITIES), "x"),
+        "alpha2,p,m,k,S1,S2,S12,S23,C12_conc,C23_conc,C13_conc,C1_23_conc,E12,E23,E13,E1_23,D12,D23,D1_23,"
+        "Delta123\n"
+        "0.25541281188299536,0.59999999999999998,0,1,0.93130436857937626,0.93130436857937626,"
+        "0.93130436857937626,0.93130436857937626,1.0000000000000002,0.48979591836734693,0.48979591836734693,"
+        "0.95199214609719196,1,0.34343803585562183,0.34343803585562183,0.93130436857937626,0.34343803585562183,"
+        "0.34343803585562183,0.93130436857937626,0.24442829686813261\n"
+        "0,1,0,1,nan,nan,nan,nan,1,nan,nan,nan,1,nan,nan,0.91829583405448956,0.55004775958275764,"
+        "0.55004775958275764,0.91829583405448956,-0.18179968511102573\n",
+    ),
+    (
+        SweepSpec("alpha2", 1, 2, 2, [2.0], [True], ["E12"], "x"),
+        "alpha2,p,m,k,E12\n"
+        "1,0.1353352832366127,2.0,True,0.98276479419343732\n"
+        "2,0.018315638888734179,2.0,True,0.99968394499399382\n",
+    ),
+]
+
+
+def sweep_argv(spec):
+    return ["sweep", "--axis", spec.axis, "--start", repr(spec.start), "--stop", repr(spec.stop),
+            "--steps", str(spec.steps), "--m", *map(str, spec.m_list), "--k", *map(str, spec.k_list),
+            "--quantities", *spec.quantities]
+
+
+class TestSweepRowFormat:
+    """Sweep and figure rows are written as one %-format each, byte for byte
+    as the `_fmt` and csv.writer route of `csv_reference` wrote them."""
+
+    @pytest.mark.parametrize("spec, text", PINNED_SWEEPS)
+    def test_pinned_specs(self, tmp_path, spec, text):
+        lines = text.splitlines()
+        header, rows = run_sweep(spec)
+        assert header == lines[0].split(",")
+        assert list(rows) == [line.split(",") for line in lines[1:]]
+        out = tmp_path / "sweep.csv"
+        cli._write_csv(out, header, cli._sweep_lines(spec))
+        assert out.read_bytes() == text.encode("utf-8") == sweep_csv_bytes(spec)
+
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [(["figure", figure_id], figure_spec(figure_id, "x")) for figure_id in sorted(FIGURE_PRESETS)]
+        + [
+            (sweep_argv(spec), spec)
+            for spec in (
+                # W-limit rows at p = 1 for k = 1, both parities, m up to 64
+                SweepSpec("p", 0.3, 1.0, 40, [0, 1, 5, 64], [0, 1], list(QUANTITIES), "x"),
+                SweepSpec("alpha2", 0.0, 2.0, 40, [0, 3, 64], [1], ["D12", "Delta123"], "x"),
+                SweepSpec("alpha2", -0.0, 2.0, 40, [0, 3, 64], [1], ["D12", "Delta123"], "x"),
+            )
+        ],
+    )
+    def test_files_equal_the_csv_writer_route(self, tmp_path, argv, spec):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == sweep_csv_bytes(spec)
+
+    def test_one_report_per_row_and_no_fmt(self, tmp_path, monkeypatch, capsys):
+        reports, fmts = [], []
+        monkeypatch.setattr(cli, "report", lambda params: reports.append(params) or report(params))
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda value: fmts.append(value) or fmt(value))
+        out = tmp_path / "out.csv"
+        for argv in (
+            ["sweep", "--axis", "p", "--start", "0.5", "--stop", "1", "--steps", "50", "--m", "0", "2",
+             "--k", "0", "1", "--quantities", "D12", "E12"],
+            ["figure", "fig5"],
+        ):
+            reports.clear()
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            assert len(reports) == len(out.read_text(encoding="utf-8").splitlines()) - 1
+        assert len(reports) == 1600 and fmts == []
+        assert main(["threshold", "--m", "0", "--k", "1"]) == EXIT_OK
+        assert len(fmts) == 2
+
+
 class TestFigureCommand:
     def test_preset_bindings(self):
         assert FIGURE_PRESETS == {
@@ -381,7 +484,7 @@ class TestVerifyCommand:
                 [cli._fmt(fields[0]), cli._fmt(fields[1]), str(fields[2]), str(fields[3])]
                 + [cli._fmt(v) for v in fields[4:]]
             )
-        assert cli._verify_row_format(3) % fields == path.read_text(encoding="utf-8")
+        assert cli._row_format(3) % fields == path.read_text(encoding="utf-8")
 
     def test_nan_deviation_row_and_fail_line(self, tmp_path, monkeypatch, capsys):
         # a nan deviation is written as "nan", is the row's max_abs_deviation
