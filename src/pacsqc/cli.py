@@ -68,6 +68,9 @@ class SweepSpec:
         for k in self.k_list:
             if k not in (0, 1):
                 raise UsageError(f"invalid parity {k!r} (use 0 or 1)")
+        # stored as ints, so the CSV prints m = 2.0 and k = True as 2 and 1
+        self.m_list = [int(m) for m in self.m_list]
+        self.k_list = [int(k) for k in self.k_list]
         unknown = [q for q in self.quantities if q not in QUANTITIES]
         if unknown:
             raise UsageError(f"unknown quantities {unknown}; choose from {', '.join(QUANTITIES)}")

@@ -71,12 +71,12 @@ def eof_from_concurrence(concurrence):
     return binary_entropy(0.5 + 0.5 * math.sqrt(1.0 - c * c))
 
 
-def _eof_array(c):
-    # eof_from_concurrence of every element of a float64 array, rounded as
-    # the float function rounds
+def _eof_array(c, entropy):
+    # eof_from_concurrence of every element of a float64 array, with its
+    # check, through the array entropy `entropy` of a primitive set
     _first_failure(eof_from_concurrence, c, (c >= -1e-12) & (c <= 1.0 + 1e-12))
     c = np.minimum(np.maximum(c, 0.0), 1.0)
-    return _binary_entropy_array(0.5 + 0.5 * np.sqrt(np.maximum(0.0, 1.0 - c * c)))
+    return entropy(0.5 + 0.5 * np.sqrt(np.maximum(0.0, 1.0 - c * c)))
 
 
 def w_bell_concurrence_limit(m):
@@ -175,7 +175,7 @@ def report(params):
     if params.is_degenerate:
         return replace(w_limit_report(params.m, params.k), params=params)
     a = params.alpha2
-    return CorrelationReport(params, *_closed_forms(a, params.m, params.k, _strength_terms(a)))
+    return CorrelationReport(params, *_closed_forms(a, params.m, params.k, _strength_terms(a), _primitives(a)))
 
 
 def closed_forms(alpha2, m=0, k=0):
@@ -188,7 +188,7 @@ def closed_forms(alpha2, m=0, k=0):
     """
     a, m, k = _check_alpha2_or_array(alpha2), _check_order(m), _check_parity(k)
     _require_regular(a, k)
-    return dict(zip(QUANTITIES, _closed_forms(a, m, k, _strength_terms(a))))
+    return dict(zip(QUANTITIES, _closed_forms(a, m, k, _strength_terms(a), _primitives(a))))
 
 
 def _square(v):
@@ -210,8 +210,20 @@ def _primitives(a):
     each = functools.partial(functools.partial, _elementwise)
     return (
         each(math.exp), each(math.expm1), np.sqrt, each(_square), functools.partial(np.maximum, 0.0),
-        _binary_entropy_array, _eof_array,
+        _binary_entropy_array, functools.partial(_eof_array, entropy=_binary_entropy_array),
     )
+
+
+# The finder scans' primitives, in `_primitives` order: numpy's own ufuncs,
+# with the float functions' checks on the entropy and EoF arguments.  A scan
+# value is never printed; it only picks the bracket that the float calls
+# refine, so it need not round as the float call does.  numpy's log2 takes
+# ~1 ns per element where the C library, called per element, takes ~60 ns.
+_scan_entropy = functools.partial(_binary_entropy_array, log2=np.log2)
+_SCAN_PRIMITIVES = (
+    np.exp, np.expm1, np.sqrt, np.square, functools.partial(np.maximum, 0.0),
+    _scan_entropy, functools.partial(_eof_array, entropy=_scan_entropy),
+)
 
 
 def _strength_terms(a):
@@ -230,11 +242,12 @@ _D12_STAGE = ("S1", "S12", "C23_conc", "E23", "D12")
 _FIRST_STAGE = _D12_STAGE + ("D1_23", "Delta123")
 
 
-def _d12_stage(a, m, k, terms):
-    # a = |alpha|^2 (float or checked 1-D array), checked m and k, and a's
-    # `_strength_terms`.  The _D12_STAGE fields, then what the later stages
-    # share: the primitives, s = cos k pi, kappa_m and the GHZ norm.
-    primitives = _primitives(a)
+def _d12_stage(a, m, k, terms, primitives):
+    # a = |alpha|^2 (float or checked 1-D array), checked m and k, a's
+    # `_strength_terms` and a primitive set (`_primitives(a)` or, for an
+    # array scan, `_SCAN_PRIMITIVES`).  The _D12_STAGE fields, then what the
+    # later stages share: the primitives, s = cos k pi, kappa_m and the GHZ
+    # norm.
     entropy, eof = primitives[5:]
     e2, e4, e6, one_m_e4 = terms
     s = 1 - 2 * k  # cos k pi
@@ -254,10 +267,10 @@ def _d12_stage(a, m, k, terms):
     return s1, s12, c23, e23, d12, primitives, s, km, denom
 
 
-def _first_stage(a, m, k, terms):
+def _first_stage(a, m, k, terms, primitives):
     # the _FIRST_STAGE fields (the D12 stage's, then D1_23 and Delta123),
     # then what the D12 stage shares
-    s1, s12, c23, e23, d12, primitives, s, km, denom = _d12_stage(a, m, k, terms)
+    s1, s12, c23, e23, d12, primitives, s, km, denom = _d12_stage(a, m, k, terms, primitives)
     entropy = primitives[5]
     e2, e4 = terms[:2]
     # pure 1|(23) cut, D = E = H(1/2 + (kappa_m e^{-2a} + e^{-4a} cos k pi) / (2 denom))
@@ -266,9 +279,9 @@ def _first_stage(a, m, k, terms):
     return s1, s12, c23, e23, d12, d1_23, delta, primitives, s, km, denom
 
 
-def _closed_forms(a, m, k, terms):
+def _closed_forms(a, m, k, terms, primitives):
     # every field, in QUANTITIES order: the first stage, then the others
-    s1, s12, c23, e23, d12, d1_23, delta, primitives, s, km, denom = _first_stage(a, m, k, terms)
+    s1, s12, c23, e23, d12, d1_23, delta, primitives, s, km, denom = _first_stage(a, m, k, terms, primitives)
     _, expm1, sqrt, square, nonneg, entropy, eof = primitives
     e2, e4, _, one_m_e4 = terms
     s2 = entropy(0.5 * (1.0 + e2) * (1.0 + km * e4 * s) / denom)
@@ -287,33 +300,36 @@ def _closed_forms(a, m, k, terms):
     return s1, s2, s12, s23, c12, c23, c13, c1_23, e12, e23, e13, d1_23, d12, d23, d1_23, delta
 
 
-def _evaluate(name, a, m, k, terms):
+def _evaluate(name, a, m, k, terms, primitives):
     # `report` field `name` at a checked float or array strength with its
-    # strength terms, from the smallest stage that holds the field
+    # strength terms and a primitive set, from the smallest stage that holds
+    # the field
     if name in _D12_STAGE:
-        return _d12_stage(a, m, k, terms)[_D12_STAGE.index(name)]
+        return _d12_stage(a, m, k, terms, primitives)[_D12_STAGE.index(name)]
     if name in _FIRST_STAGE:
-        return _first_stage(a, m, k, terms)[_FIRST_STAGE.index(name)]
-    return _closed_forms(a, m, k, terms)[QUANTITIES.index(name)]
+        return _first_stage(a, m, k, terms, primitives)[_FIRST_STAGE.index(name)]
+    return _closed_forms(a, m, k, terms, primitives)[QUANTITIES.index(name)]
 
 
 def _field(m, k, name, alpha2, terms=None):
-    # the finders' field: `report` field `name` at a float or at each
-    # element of a checked array, whose strength terms a scan passes in
-    # (built here when it does not); degenerate strengths take the W-type
-    # limit, which an array takes from its value at alpha2 = 0
+    # the finders' field: `report` field `name` at a float, or a scan of it
+    # over a checked array, whose strength terms a scan passes in (built
+    # here when it does not).  A float rounds as `report` does; a scan takes
+    # `_SCAN_PRIMITIVES` and lies within ~1e-15 of the float calls.
+    # Degenerate strengths take the W-type limit, which an array takes from
+    # its value at alpha2 = 0.
     if not isinstance(alpha2, np.ndarray):
         if _degenerate(alpha2, k):
             return getattr(w_limit_report(m), name)
-        return _evaluate(name, alpha2, m, k, _strength_terms(alpha2))
+        return _evaluate(name, alpha2, m, k, _strength_terms(alpha2), _primitives(alpha2))
     if terms is None:
         terms = _strength_terms(alpha2)
     limit = _degenerate(alpha2, k)
     if not limit.any():
-        return _evaluate(name, alpha2, m, k, terms)
+        return _evaluate(name, alpha2, m, k, terms, _SCAN_PRIMITIVES)
     regular = ~limit
     value = np.full(alpha2.shape, _field(m, k, name, 0.0))
-    value[regular] = _evaluate(name, alpha2[regular], m, k, tuple(t[regular] for t in terms))
+    value[regular] = _evaluate(name, alpha2[regular], m, k, tuple(t[regular] for t in terms), _SCAN_PRIMITIVES)
     return value
 
 

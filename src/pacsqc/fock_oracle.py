@@ -5,8 +5,9 @@ from amplitude summation, reduced densities from partial traces, spectra from
 LAPACK (numpy.linalg.eigvalsh/eigh), concurrence from each density's factor,
 and discord from direct minimization of the post-measurement conditional
 entropy over projective qubit measurements.  None of the closed forms from
-`states` or `correlations` enter these code paths; the single shared
-primitive is the binary entropy.
+`states` or `correlations` enter these code paths, and they share no
+numerical primitive: every entropy here, the EoFs' binary entropies
+included, takes numpy's own log2 (`_xlog2x`).
 
 Per mode, the pair {|alpha,m>, |-alpha,m>} is orthonormalized from its
 Fock-space overlaps into the even/odd cat basis of the closed forms, so
@@ -34,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .special import _binary_entropy_array
 from .states import ModelParams, _require_regular
 from .correlations import report
 
@@ -778,7 +778,8 @@ def _eofs(concurrences):
     """Entanglement of formation H(1/2 + sqrt(1 - C^2)/2) of each element
     of an array of concurrences, clipped to [0, 1] (which keeps 1 - C^2 >= 0)."""
     c = np.clip(concurrences, 0.0, 1.0)
-    return _binary_entropy_array(0.5 + 0.5 * np.sqrt(1.0 - c * c))
+    x = 0.5 + 0.5 * np.sqrt(1.0 - c * c)
+    return -(_xlog2x(x) + _xlog2x(1.0 - x))
 
 
 def _factors(ghz, bell):

@@ -224,18 +224,25 @@ def binary_entropy(x):
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
-def _binary_entropy_array(x):
+def _c_log2(y):
+    # the C library's log2 of every element, as math.log2 rounds it
+    return _elementwise(math.log2, y)
+
+
+def _binary_entropy_array(x, log2=_c_log2):
     # binary_entropy of every element of a checked float64 array, with the
-    # float function's check, roundings (C-library log2) and zeros; an array
-    # inside (0, 1) passes the check and needs no gather or scatter
+    # float function's check and zeros; the default log2 also keeps its
+    # roundings, where numpy's np.log2 is ~50x faster and rounds
+    # differently in ~0.2% of inputs.  An array inside (0, 1) passes the
+    # check and needs no gather or scatter.
     inside = (x > 0.0) & (x < 1.0)
     if inside.all():
-        return _entropy_inside(x)
+        return _entropy_inside(x, log2)
     _first_failure(binary_entropy, x, (x >= -_ENTROPY_GUARD) & (x <= 1.0 + _ENTROPY_GUARD))
     h = np.zeros(x.shape)
-    h[inside] = _entropy_inside(x[inside])
+    h[inside] = _entropy_inside(x[inside], log2)
     return h
 
 
-def _entropy_inside(y):
-    return -(y * _elementwise(math.log2, y) + (1.0 - y) * _elementwise(math.log2, 1.0 - y))
+def _entropy_inside(y, log2):
+    return -(y * log2(y) + (1.0 - y) * log2(1.0 - y))

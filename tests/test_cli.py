@@ -209,7 +209,8 @@ class TestStreamedOutput:
 # run_sweep files captured before sweep rows were one %-format each: no
 # quantity (4 columns), one quantity through p = 1 (a W-limit D12 at k = 1),
 # all 16 with the W-limit's missing fields as nan, and m and k given as a
-# float and a bool, which the rows print as str() does
+# float and a bool, which `SweepSpec` stores as ints (the rows printed them
+# as 2.0 and True before it did)
 PINNED_SWEEPS = [
     (
         SweepSpec("alpha2", 0.5, 1.5, 3, [2, 0], [1], [], "x"),
@@ -245,8 +246,8 @@ PINNED_SWEEPS = [
     (
         SweepSpec("alpha2", 1, 2, 2, [2.0], [True], ["E12"], "x"),
         "alpha2,p,m,k,E12\n"
-        "1,0.1353352832366127,2.0,True,0.98276479419343732\n"
-        "2,0.018315638888734179,2.0,True,0.99968394499399382\n",
+        "1,0.1353352832366127,2,1,0.98276479419343732\n"
+        "2,0.018315638888734179,2,1,0.99968394499399382\n",
     ),
 ]
 

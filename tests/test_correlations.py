@@ -1,12 +1,14 @@
 import collections
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pacsqc import special
 from pacsqc.fock_oracle import build_tripartite
-from pacsqc.special import binary_entropy
+from pacsqc.special import MAX_PHOTON_ORDER, binary_entropy
 from pacsqc.states import LimitRegimeError, ModelParams, ghz_rho12, ghz_rho23
 from pacsqc import correlations, states
 from pacsqc.states import DEGENERATE_ALPHA2
@@ -474,8 +476,14 @@ def peak_scan_grid(lo=0.01, hi=4.0, n=400):
 
 
 class TestClosedForms:
-    """One body for a float or an array of |alpha|^2: the array call gives
-    the float call's values bit for bit."""
+    """One body for a float or an array of |alpha|^2: the public array call
+    gives the float call's values bit for bit, and a finder scan, which
+    takes numpy's own ufuncs, lies within SCAN_BOUND of them."""
+
+    # |scan - float| over every m <= 64, both parities, the scan grids and
+    # the windows of TestFinderAnswers measured at most 4.4e-16 (Delta123)
+    # and 2.2e-16 (D12)
+    SCAN_BOUND = 1e-15
 
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 16, 33, 64])
@@ -488,16 +496,21 @@ class TestClosedForms:
             assert fields[name].tolist() == [getattr(rep, name) for rep in reports], name
         # the finders' fields, which stop after the first stage
         for name in ("D12", "Delta123"):
-            assert correlations._field(m, k, name, np.array(grid)).tolist() == fields[name].tolist(), name
+            scanned = correlations._field(m, k, name, np.array(grid))
+            assert np.abs(scanned - fields[name]).max() <= self.SCAN_BOUND, name
             for a in grid[::37]:
                 assert correlations._field(m, k, name, a) == closed_forms(a, m, k)[name], (name, a)
         if k == 1:
-            # the finders' field on a grid that straddles the degenerate switch
+            # the finders' field on a grid that straddles the degenerate
+            # switch: the W-limit elements are the float calls' own values
             grid = peak_scan_grid(lo=0.0, hi=4.0 * DEGENERATE_ALPHA2)
+            limit = states._degenerate(np.array(grid), k)
             reports = [report(ModelParams(a, m, k)) for a in grid]
             for name in W_LIMIT_FIELDS:
-                scanned = correlations._field(m, k, name, np.array(grid)).tolist()
-                assert scanned == [getattr(rep, name) for rep in reports], name
+                scanned = correlations._field(m, k, name, np.array(grid))
+                expected = np.array([getattr(rep, name) for rep in reports])
+                assert scanned[limit].tolist() == expected[limit].tolist(), name
+                assert np.abs(scanned - expected)[~limit].max() <= self.SCAN_BOUND, name
 
     def test_float_call_equals_report(self):
         for params in GRID[::7]:
@@ -529,11 +542,14 @@ class TestClosedForms:
         # from alpha2 = 0 an odd-parity grid holds degenerate strengths (the
         # masked path); from 0.01 none does, nor does any even-parity grid
         grid = peak_scan_grid(lo=lo, hi=0.5, n=120)
-        assert (k == 1 and lo == 0.0) == bool(states._degenerate(np.array(grid), k).any())
+        limit = states._degenerate(np.array(grid), k)
+        assert (k == 1 and lo == 0.0) == bool(limit.any())
         for name in ("D12", "Delta123"):
             scanned = correlations._field(m, k, name, np.array(grid))
             assert scanned.dtype == np.float64
-            assert scanned.tolist() == [correlations._field(m, k, name, a) for a in grid], name
+            expected = np.array([correlations._field(m, k, name, a) for a in grid])
+            assert scanned[limit].tolist() == expected[limit].tolist(), name
+            assert np.abs(scanned - expected).max() <= self.SCAN_BOUND, name
 
     def test_invalid_order_and_parity(self):
         with pytest.raises(ValueError):
@@ -622,57 +638,115 @@ class TestFinderAnswers:
         # analytic limits of `report` point by point
         assert discord_12_peak(1, 1, lo=0.0) == (3.544370638627595e-11, 0.5433007782061372)
 
+    def test_reference_answers(self):
+        # every default answer for m <= 64 at both parities, frozen in
+        # finder_reference.json from the scans that rounded as the float
+        # calls: {"m", "k", "threshold" (null for none), "peak": [argmax, max]}
+        with open(Path(__file__).with_name("finder_reference.json")) as handle:
+            reference = json.load(handle)
+        assert sorted((row["m"], row["k"]) for row in reference) == [
+            (m, k) for m in range(MAX_PHOTON_ORDER + 1) for k in (0, 1)
+        ]
+        for row in reference:
+            m, k = row["m"], row["k"]
+            assert violation_threshold(m, k) == row["threshold"], (m, k)
+            assert discord_12_peak(m, k) == tuple(row["peak"]), (m, k)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_scan_brackets_equal_c_library_scans(self, k):
+        # each scan picks the bracket that the C-library primitives' scan
+        # picks, on the threshold grid, the default peak grid and WINDOWS
+        scans = [("Delta123", correlations._THRESHOLD_GRID, correlations._THRESHOLD_TERMS)]
+        scans += [("D12", *correlations._peak_grid(lo, hi)) for lo, hi in ((0.01, 4.0),) + self.WINDOWS]
+        for m in range(MAX_PHOTON_ORDER + 1):
+            for name, grid, terms in scans:
+                scanned = correlations._field(m, k, name, grid, terms).tolist()
+                expected = c_library_scan(m, k, name, grid)
+                assert bracket_index(name, scanned) == bracket_index(name, expected), (m, name, grid[-1])
+
+
+def c_library_scan(m, k, name, grid):
+    # `report` field `name` over a scan grid as the float calls give it:
+    # the public array `closed_forms` (== the float calls) on the regular
+    # strengths and the W-type limit on the degenerate ones
+    limit = states._degenerate(grid, k)
+    values = np.full(grid.shape, correlations._field(m, k, name, 0.0))
+    values[~limit] = closed_forms(grid[~limit], m, k)[name]
+    return values.tolist()
+
+
+def bracket_index(name, values):
+    # the index a finder brackets from its scan: the first argmax of D12, or
+    # the first sign change of Delta123 past the sign band (None for none)
+    if name == "D12":
+        return max(range(len(values)), key=values.__getitem__)
+    band = correlations._SIGN_BAND
+    for i, (v0, v1) in enumerate(zip(values, values[1:])):
+        if (v0 < -band and v1 > band) or (v0 > band and v1 < -band):
+            return i
+    return None
+
 
 
 class TestScanCost:
-    """The finders' scans make the per-element C-library passes their field
-    needs: the strength terms come once per scan grid, and a D12 scan stops
+    """The finders' scans make no per-element C-library pass beyond their
+    strength terms, which come once per scan grid, and a D12 scan stops
     before the deficit."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        # per-element passes (`_elementwise`) by function name, and the
-        # entropy-array calls under "entropy"
+        # per-element C-library passes (`_elementwise`) by function name, the
+        # public array entropy's calls under "entropy", and the calls of the
+        # scan primitives' entropy and EoF under "scan_entropy" and "scan_eof"
         counts = collections.Counter()
-        elementwise, entropy = special._elementwise, correlations._binary_entropy_array
+        elementwise = special._elementwise
 
         def counted_passes(fn, x):
             counts[fn.__name__] += 1
             return elementwise(fn, x)
 
-        def counted_entropy(x):
-            counts["entropy"] += 1
-            return entropy(x)
+        def counted(name, fn):
+            def call(x):
+                counts[name] += 1
+                return fn(x)
 
+            return call
+
+        *numeric, scan_entropy, scan_eof = correlations._SCAN_PRIMITIVES
         monkeypatch.setattr(special, "_elementwise", counted_passes)
         monkeypatch.setattr(correlations, "_elementwise", counted_passes)
-        monkeypatch.setattr(correlations, "_binary_entropy_array", counted_entropy)
+        monkeypatch.setattr(correlations, "_binary_entropy_array", counted("entropy", correlations._binary_entropy_array))
+        monkeypatch.setattr(
+            correlations,
+            "_SCAN_PRIMITIVES",
+            (*numeric, counted("scan_entropy", scan_entropy), counted("scan_eof", scan_eof)),
+        )
         return counts
 
     @pytest.mark.parametrize("m", [0, 2, 64])
     def test_stage_passes(self, passes, m):
         grid, terms = correlations._peak_grid(0.01, 4.0)
         correlations._field(m, 0, "D12", grid, terms)
-        assert passes == {"log2": 6, "entropy": 3}
+        assert passes == {"scan_entropy": 2, "scan_eof": 1}
         passes.clear()
         correlations._field(m, 1, "Delta123", correlations._THRESHOLD_GRID, correlations._THRESHOLD_TERMS)
-        assert passes == {"log2": 8, "entropy": 4}
+        assert passes == {"scan_entropy": 3, "scan_eof": 1}
 
     @pytest.mark.parametrize("m, k, lo, hi", [(0, 0, 0.02, 3.0), (2, 1, 0.0, 0.75), (64, 0, 0.01, 4.0)])
     def test_repeated_peak_builds_no_exponentials(self, passes, m, k, lo, hi):
         # (0.0, 0.75) with odd parity scans through the degenerate mask
         correlations._peak_grid.cache_clear()
         discord_12_peak(m, k, lo, hi)
-        assert passes == {"exp": 3, "expm1": 1, "log2": 6, "entropy": 3}
+        assert passes == {"exp": 3, "expm1": 1, "scan_entropy": 2, "scan_eof": 1}
         passes.clear()
         discord_12_peak(m, k, lo, hi)
-        assert passes == {"log2": 6, "entropy": 3}
+        assert passes == {"scan_entropy": 2, "scan_eof": 1}
 
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 64])
     def test_threshold_builds_no_exponentials(self, passes, m, k):
         violation_threshold(m, k)
-        assert passes == {"log2": 8, "entropy": 4}
+        assert passes == {"scan_entropy": 3, "scan_eof": 1}
 
     def test_closed_forms_passes(self, passes):
         closed_forms(np.array([0.3, 2.0]), 7, 1)

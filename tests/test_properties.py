@@ -2,6 +2,7 @@
 derandomized search, checked against the float closed forms, and random
 small sweeps checked against the CSV writer of `csv_reference`."""
 
+import math
 import os
 import tempfile
 
@@ -35,6 +36,38 @@ def test_first_stage_and_array_kappa_equal_float_calls(alpha2, m, k):
         fields = closed_forms(a, m, k)
         for name in ("D12", "Delta123"):
             assert correlations._field(m, k, name, a) == fields[name], (name, a)
+
+
+# log-spaced strengths from 1e-6 to 12, regular at both parities
+log_strengths = st.floats(min_value=-6.0, max_value=math.log10(12.0)).map(lambda e: min(10.0**e, 12.0))
+EPS = np.finfo(float).eps
+# A binary entropy of a few-ulp argument is off by at most ~eps log2(1/eps)
+# (53 eps, at a nearly pure state), so each entropy within 64 eps and a
+# discord, a sum of at most three, within 192 eps.
+ENTROPY_ERR = 64 * EPS
+DISCORD_ERR = 3 * ENTROPY_ERR
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    alpha2=st.lists(log_strengths, min_size=1, max_size=16),
+    m=st.integers(min_value=0, max_value=MAX_PHOTON_ORDER),
+    k=st.sampled_from([0, 1]),
+)
+def test_squared_discord_and_ckw_monogamy(alpha2, m, k):
+    fields = closed_forms(np.array(alpha2), m, k)
+    # D1_23^2 - 2 D12^2 >= 0: a square v^2 moves by <= 2|v| err + err^2
+    d1_23, d12 = fields["D1_23"], fields["D12"]
+    tol = 2.0 * d1_23 * ENTROPY_ERR + ENTROPY_ERR**2 + 2.0 * (2.0 * np.abs(d12) * DISCORD_ERR + DISCORD_ERR**2)
+    assert (d1_23**2 - 2.0 * d12**2 >= -tol).all(), alpha2
+    # CKW, C1_23^2 - C(rho12)^2 - C13^2 >= 0 with the three-tangle as its
+    # residual, where rho12 and rho13 of the GHZ-type state share C13: both
+    # concurrences carry the factor sqrt(1 - kappa_m^2 e^{-4a}), whose
+    # cancellation error scales them alike, and the rest of each is a few
+    # rounded products and quotients, within 8 ulp, so each square within
+    # 16 eps relative
+    c1_23, c13 = fields["C1_23_conc"], fields["C13_conc"]
+    assert (c1_23**2 - 2.0 * c13**2 >= -16.0 * EPS * (c1_23**2 + 2.0 * c13**2)).all(), alpha2
 
 
 @st.composite
