@@ -4,18 +4,25 @@
 parameter point (|alpha|^2, m, k) follows from kappa_m, e^{-2|alpha|^2} and
 the GHZ norm 1 + kappa_m e^{-6|alpha|^2} cos k pi, evaluated once per point.
 |alpha|^2 is a float or a 1-D float64 array; one body serves both, with
-the non-arithmetic primitives picked once per call, so an array gives the
-float values bit for bit.  `report` wraps the float call in a
-`CorrelationReport`; `discord_12`, `discord_23`, `discord_1_23` and
-`deficit` are views of its fields.  The exponentials e^{-2a}, e^{-4a},
-e^{-6a} and 1 - e^{-4a} depend on the strength alone and enter the body as
-an argument.  The body runs in nested stages: the D12 stage computes
-kappa_m, the GHZ norm and D12 (from S1, S12, C23 and E23), the first stage
-extends it with D1_23 and the deficit Delta123, and the last stage gives
-the other fields.  The threshold and peak finders evaluate the smallest
-stage that holds their field: they scan their grids in one array call,
-with the exponentials built once per scan grid, and refine with float
-calls.
+the non-arithmetic primitives passed in as a set.  Two contracts hold:
+
+- a public array (`closed_forms`) gives the float calls' values bit for
+  bit: its set takes the C library per element wherever numpy rounds
+  differently;
+- a finder scan only steers: its set is numpy's own ufuncs, its values lie
+  within ~1e-15 of the float calls', and it only picks the bracket that
+  float calls refine, so every finder answer is a float call's value.
+
+`report` wraps the float call in a `CorrelationReport`; `discord_12`,
+`discord_23`, `discord_1_23` and `deficit` are views of its fields.  The
+exponentials e^{-2a}, e^{-4a}, e^{-6a} and 1 - e^{-4a} depend on the
+strength alone and enter the body as an argument.  The body runs in nested
+stages: the D12 stage computes kappa_m, the GHZ norm and D12 (from S1, S12,
+C23 and E23), the first stage extends it with D1_23 and the deficit
+Delta123, and the last stage gives the other fields.  The threshold and
+peak finders evaluate the smallest stage that holds their field: they scan
+their grids in one array call, with the exponentials built once per scan
+grid, and refine with float calls.
 
 All entropic quantities are in bits.  Pairwise discord is evaluated through
 the Koashi-Winter relation, which replaces the measurement optimization by
