@@ -640,8 +640,9 @@ class TestFinderAnswers:
 
     def test_reference_answers(self):
         # every default answer for m <= 64 at both parities, frozen in
-        # finder_reference.json from the scans that rounded as the float
-        # calls: {"m", "k", "threshold" (null for none), "peak": [argmax, max]}
+        # finder_reference.json while the scans still took the C-library
+        # primitives: {"m", "k", "threshold" (null for none), "peak":
+        # [argmax, max]}
         with open(Path(__file__).with_name("finder_reference.json")) as handle:
             reference = json.load(handle)
         assert sorted((row["m"], row["k"]) for row in reference) == [
@@ -685,7 +686,6 @@ def bracket_index(name, values):
         if (v0 < -band and v1 > band) or (v0 > band and v1 < -band):
             return i
     return None
-
 
 
 class TestScanCost:
