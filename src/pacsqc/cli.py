@@ -235,32 +235,36 @@ def _cmd_verify(args):
     # a degenerate parity, a cutoff too small) is a usage error
     vectors = fock_oracle._cat_vectors(points, args.nmax_override)
     header = ["alpha2", "p", "m", "k"] + [f"dev_{name}" for name in fock_oracle.FIELD_BOUNDS] + ["max_abs_deviation"]
-    row = _row_format(len(fock_oracle.FIELD_BOUNDS) + 1)
     failed = []
 
-    def records():
-        # drawn once --out is open, so an unwritable path fails before the
-        # spectra and the minimizer run
-        for record in fock_oracle._records(points, *vectors):
-            params = record.params
-            if not record.passes(bound_override=tolerance):
+    def check():
+        # the deviation matrix and each row's largest deviation; a record is
+        # built only for a failing row, whose FAIL line names its worst field
+        deviations = fock_oracle._deviations(points, *vectors)
+        passes, largest = fock_oracle._row_checks(deviations, tolerance)
+        for i, ok in enumerate(passes.tolist()):
+            if not ok:
+                params = points[i]
                 failed.append(params)
-                name, dev = record.worst(tolerance)
+                name, dev = fock_oracle._records([params], deviations[i : i + 1])[0].worst(tolerance)
                 print(
                     f"FAIL alpha2={params.alpha2:.6g} m={params.m} k={params.k}: {name} deviates by {dev:.3e}",
                     file=sys.stderr,
                 )
-            yield params, record
+        return deviations, largest
+
+    def lines():
+        # drawn once --out is open, so an unwritable path fails before the
+        # spectra and the minimizer run
+        deviations, largest = check()
+        row = _row_format(len(fock_oracle.FIELD_BOUNDS) + 1)
+        for params, values, value in zip(points, deviations.tolist(), largest.tolist()):
+            yield row % (params.alpha2, params.p, params.m, params.k, *values, value)
 
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            handle.write(",".join(header) + "\n")
-            for params, record in records():
-                deviations = record.deviations.values()
-                handle.write(row % (params.alpha2, params.p, params.m, params.k, *deviations, record.max_abs_deviation))
+        _write_csv(args.out, header, lines())
     else:
-        for _ in records():
-            pass
+        check()
     print(f"verified {len(points)} points: {'bound exceeded' if failed else 'all within bounds'}")
     return EXIT_VERIFY if failed else EXIT_OK
 

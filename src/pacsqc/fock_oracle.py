@@ -28,6 +28,7 @@ Newton on the sphere refines it, with one evaluator for the value, its
 gradient and Hessian, and one safeguard (see `discord_numeric`).
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -65,6 +66,11 @@ TAIL_BOUND = 1e-24
 
 # the signs of the +alpha and -alpha states, and of a measurement's two outcomes
 _PLUS_MINUS = np.array([1.0, -1.0])
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 class TruncationError(ValueError):
@@ -117,7 +123,7 @@ def _check_cutoff(nmax):
 def _row_sums(values):
     # left-to-right sums along each row: trailing zeros and the other rows
     # of a stack leave every row's sum bit for bit as it is alone
-    return np.cumsum(values, axis=1)[:, -1]
+    return values.cumsum(axis=1)[:, -1]
 
 
 def _coherent_rows(alpha, cutoffs):
@@ -130,13 +136,23 @@ def _coherent_rows(alpha, cutoffs):
     factors = np.empty((len(alpha), size))
     factors[:, 0] = np.exp(-0.5 * alpha * alpha)
     factors[:, 1:] = alpha[:, None] / np.sqrt(np.arange(1.0, size))
-    amp = np.cumprod(factors, axis=1)
+    amp = factors.cumprod(axis=1)
     edge = amp[np.arange(len(alpha)), cutoffs] ** 2
     if (edge > TAIL_BOUND).any():
         i = np.argmax(edge > TAIL_BOUND)
         raise TruncationError(f"nmax={cutoffs[i]} insufficient for alpha={alpha[i]}: edge weight {edge[i]:.3e}")
     amp[np.arange(size) > cutoffs[:, None]] = 0.0
     return amp
+
+
+@functools.lru_cache(maxsize=64)
+def _lift_table(top, width):
+    # lift[m, n] = sqrt(n (n - 1) ... (n - m + 1)) for m = 0..top and
+    # n = 0..width - 1, read-only
+    n = np.arange(width)
+    lift = np.ones((top + 1, width))
+    lift[1:] = np.cumprod(np.sqrt(np.maximum(n - np.arange(top)[:, None], 0)), axis=0)
+    return _read_only(lift)
 
 
 def _add_photon_rows(amp, photons, cutoffs, normalize):
@@ -149,16 +165,13 @@ def _add_photon_rows(amp, photons, cutoffs, normalize):
     row keeps more than TAIL_BOUND at its cutoff."""
     rows, (count, size), top = np.arange(len(amp)), amp.shape, int(photons.max())
     n = np.arange(size + top)
-    # lift[m, n] = sqrt(n (n - 1) ... (n - m + 1)), and n reads amplitude
-    # n - m from the rows padded by `top` zeros on both sides
-    lift = np.ones((top + 1, n.size))
-    lift[1:] = np.cumprod(np.sqrt(np.maximum(n - np.arange(top)[:, None], 0)), axis=0)
+    # n reads amplitude n - m from the rows padded by `top` zeros on both sides
     padded = np.zeros((count, size + 2 * top), dtype=amp.dtype)
     padded[:, top : top + size] = amp
-    lifted = lift[photons] * padded[rows[:, None], n + (top - photons)[:, None]]
+    lifted = _lift_table(top, n.size)[photons] * padded[rows[:, None], n + (top - photons)[:, None]]
     weight = (lifted * lifted.conj()).real
     kept = n <= cutoffs[:, None]
-    mass = np.cumsum(weight, axis=1)[rows, cutoffs]
+    mass = weight.cumsum(axis=1)[rows, cutoffs]
     if (_row_sums(np.where(kept, 0.0, weight)) > TAIL_BOUND * mass).any():
         raise TruncationError("no truncation headroom left for another photon addition")
     lifted = np.where(kept, lifted, 0.0)[:, :size]
@@ -200,7 +213,7 @@ def _check_densities(data):
     """Validate a (B, D, D) stack of density matrices (unit trace and
     Hermiticity within 1e-10, no eigenvalue below -1e-9) and return their
     ascending spectra."""
-    trace = np.trace(data, axis1=-2, axis2=-1)
+    trace = data.trace(axis1=-2, axis2=-1)
     # max() carries a nan through, and a nan fails each comparison
     off = np.abs(trace - 1.0)
     if not off.max() <= 1e-10:
@@ -271,7 +284,7 @@ def _xlog2x(values):
 
 def _entropies(spectra):
     """- sum_i lambda_i log2 lambda_i along the last axis (0 log 0 = 0)."""
-    return -np.sum(_xlog2x(spectra), axis=-1)
+    return -_xlog2x(spectra).sum(axis=-1)
 
 
 def von_neumann_entropy(rho):
@@ -310,13 +323,13 @@ def wootters_concurrence(rho):
     return float(_concurrences((vec * np.sqrt(np.maximum(lam, 0.0)))[None])[0])
 
 
-def _require_cat_pairs(points):
+def _require_cat_pairs(points, alpha2, k):
     """Refuse any point at which the oracle cannot build the cat basis: the
     odd-parity degenerate regime (see states), and alpha2 below 2.5e-19,
     where |alpha> - |-alpha>, of norm about 2|alpha| < 1e-9, leaves the
-    pair {|alpha>, |-alpha>} no odd vector to span a qubit with."""
-    alpha2 = np.array([params.alpha2 for params in points])
-    _require_regular(alpha2, np.array([params.k for params in points]))
+    pair {|alpha>, |-alpha>} no odd vector to span a qubit with.  ``alpha2``
+    and ``k`` are the points' columns."""
+    _require_regular(alpha2, k)
     low = 4.0 * alpha2 < 1e-18
     if low.any():
         params = points[np.argmax(low)]
@@ -326,22 +339,19 @@ def _require_cat_pairs(points):
         )
 
 
-def _mode_pairs(points, nmax):
+def _mode_pairs(alpha2, m, cutoffs):
     """Coordinates (c_plus, c_minus) of |alpha, m> and of |alpha> in the
     orthonormal (even, odd) basis of their pairs {|alpha, m>, |-alpha, m>}
-    and {|alpha>, |-alpha>}, shape (P, 2, 2); the -alpha states have
-    (c_plus, -c_minus).  All 2P coherent vectors, truncated at ``nmax`` or
-    at each point's `default_nmax`, come from one stacked build, and each
-    pair's overlap <alpha|-alpha> from summing its amplitudes."""
-    alpha = (np.sqrt([params.alpha2 for params in points])[:, None] * _PLUS_MINUS).ravel()
-    photons = np.repeat([params.m for params in points], 2)
-    if nmax is None:
-        cutoffs = np.repeat([default_nmax(params.alpha2, params.m) for params in points], 2)
-    else:
-        cutoffs = np.full(len(alpha), int(nmax))
+    and {|alpha>, |-alpha>}, shape (P, 2, 2), for the points' columns
+    ``alpha2``, ``m`` and ``cutoffs``; the -alpha states have
+    (c_plus, -c_minus).  All 2P coherent vectors come from one stacked
+    build, and each pair's overlap <alpha|-alpha> from summing its
+    amplitudes."""
+    alpha = (np.sqrt(alpha2)[:, None] * _PLUS_MINUS).ravel()
+    photons, cutoffs = m.repeat(2), cutoffs.repeat(2)
     plain = _coherent_rows(alpha, cutoffs)
     vectors = np.concatenate([_add_photon_rows(plain, photons, cutoffs, True), plain])
-    overlaps = _row_sums(vectors[0::2] * vectors[1::2]).reshape(2, len(points)).T
+    overlaps = _row_sums(vectors[0::2] * vectors[1::2]).reshape(2, len(alpha2)).T
     return np.sqrt(np.maximum(0.0, 0.5 + 0.5 * overlaps[:, :, None] * _PLUS_MINUS))
 
 
@@ -367,7 +377,7 @@ def _superpositions(signs, modes):
         size = 2 * product.shape[1]
         product = (product[:, :, None] * coords[:, None, :]).reshape(len(modes), size)
         raw = product * factors[:, :size]
-        norm = np.sqrt(np.sum(raw * raw, axis=1, keepdims=True))
+        norm = np.sqrt((raw * raw).sum(axis=1, keepdims=True))
         if not norm.min() >= 1e-9:
             raise ValueError("superposition vector vanishes at this parameter point")
         weights.append(raw / norm)
@@ -380,10 +390,16 @@ def _cat_vectors(points, nmax):
     basis: the pair is the GHZ superposition's first two modes, so one pass
     over the modes gives both.  Every check on whether the oracle can build
     the points (cat basis, parity, truncation) runs here."""
-    _require_cat_pairs(points)
-    if nmax is not None:
+    # each point's columns, read once: alpha2, m, k and its Fock cutoff,
+    # ``nmax`` or its `default_nmax`
+    alpha2, m, k = (np.array(column) for column in zip(*[(p.alpha2, p.m, p.k) for p in points]))
+    _require_cat_pairs(points, alpha2, k)
+    if nmax is None:
+        cutoffs = np.array([default_nmax(*point) for point in zip(alpha2.tolist(), m.tolist())])
+    else:
         _check_cutoff(nmax)
-    bell, ghz = _superpositions([params.sign for params in points], _mode_pairs(points, nmax)[:, [0, 1, 1]])
+        cutoffs = np.full(len(points), int(nmax))
+    bell, ghz = _superpositions(1 - 2 * k, _mode_pairs(alpha2, m, cutoffs)[:, [0, 1, 1]])
     return ghz, bell
 
 
@@ -428,8 +444,7 @@ def _basin_grid():
     return np.stack([np.ones_like(x), x, y, z, x * x, y * y, z * z, 2.0 * x * y, 2.0 * x * z, 2.0 * y * z])
 
 
-_GRID_FEATURES = _basin_grid()
-_GRID_FEATURES.flags.writeable = False
+_GRID_FEATURES = _read_only(_basin_grid())
 # Densities per grid-pass chunk (results do not depend on it): the largest
 # temporaries, the (64, 3, 121) product and the two outcomes, hold 186 KB and
 # 124 KB, and one chunk holds the 48 densities of a 24-point verify request.
@@ -678,20 +693,56 @@ def _min_conditional_entropy(corr):
     return _refine(corr, _GRID_FEATURES[1:4, pick].T)
 
 
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# sigma_0..sigma_3 as nested tuples of Python numbers
+_PAULI = (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))
+
+
+def _pauli_terms(measured, parts):
+    """Gather indices (4, 16) and real factors (4, 16) that give each
+    R[mu, nu] of `_bloch` as a sum of four terms.  Tr[rho (sigma_mu x
+    sigma_nu)] is the sum of rho[aj, bl] c over the four entries where
+    c = (sigma_mu)_ba (sigma_nu)_lj is nonzero, a, b indexing the
+    ``measured`` qubit; its real part takes Re(rho) Re(c) - Im(rho) Im(c),
+    of which one product is zero.  The indices point into each density's 16
+    entries (``parts`` = 1, a real stack, whose imaginary c give 0) or its
+    32 real and imaginary parts (``parts`` = 2), in the order of the
+    entries in the stored density, which is the order in which an einsum
+    over the stored stack adds them, so each sum rounds as that einsum's
+    does."""
+    index, factor = np.zeros((4, 16), dtype=int), np.zeros((4, 16))
+    for mu in range(4):
+        for nu in range(4):
+            terms = []
+            for a, j, b, l in np.ndindex(2, 2, 2, 2):
+                c = _PAULI[mu][b][a] * _PAULI[nu][l][j]
+                if c:
+                    row, col = (2 * a + j, 2 * b + l) if measured == 0 else (2 * j + a, 2 * l + b)
+                    terms.append((4 * row + col, c))
+            # sorted by entry, each of which appears once
+            for t, (entry, c) in enumerate(sorted(terms)):
+                imaginary = parts == 2 and not c.real
+                index[t, 4 * mu + nu] = parts * entry + imaginary
+                factor[t, 4 * mu + nu] = -c.imag if imaginary else c.real
+    return _read_only(index), _read_only(factor)
+
+
+_PAULI_TERMS = {(measured, parts): _pauli_terms(measured, parts) for measured in (0, 1) for parts in (1, 2)}
 
 
 def _bloch(data, measured):
     """Pauli correlation matrices R[mu, nu] = Tr[rho (sigma_mu x sigma_nu)]
     (sigma_0 = 1) of a (B, 4, 4) stack, with the ``measured`` qubit as the
     first factor: R[i, 0] = r_i and R[0, j] = s_j are the local Bloch
-    vectors, R[i, j] = T_ij.  The result is contiguous, as are the subsets
-    the refinement takes of it, so every product over it runs one kernel
-    (numpy's strided loop for a view, BLAS for contiguous rows)."""
-    tensor = data.reshape(len(data), 2, 2, 2, 2)
-    if measured == 1:
-        tensor = tensor.transpose(0, 2, 1, 4, 3)
-    return np.ascontiguousarray(np.einsum("zajbl,mba,nlj->zmn", tensor, _PAULI, _PAULI).real)
+    vectors, R[i, j] = T_ij.  Each R is four signed entries of its density
+    (`_pauli_terms`) added left to right from 0.0.  The result is
+    contiguous, as are the subsets the refinement takes of it, so every
+    product over it runs one kernel (numpy's strided loop for a view, BLAS
+    for contiguous rows)."""
+    entries = np.ascontiguousarray(data).reshape(len(data), 16)
+    parts = 2 if np.iscomplexobj(data) else 1
+    index, factor = _PAULI_TERMS[measured, parts]
+    terms = np.take(entries.view(float) if parts == 2 else entries, index, axis=1) * factor
+    return ((((0.0 + terms[:, 0]) + terms[:, 1]) + terms[:, 2]) + terms[:, 3]).reshape(len(data), 4, 4)
 
 
 def discord_numeric(rho, measured=0):
@@ -772,14 +823,18 @@ class VerificationRecord:
 
 
 _CLOSED_FIELDS = operator.attrgetter(*FIELD_BOUNDS)
+_BOUNDS = _read_only(np.array(list(FIELD_BOUNDS.values())))
 
 
 def _eofs(concurrences):
     """Entanglement of formation H(1/2 + sqrt(1 - C^2)/2) of each element
     of an array of concurrences, clipped to [0, 1] (which keeps 1 - C^2 >= 0)."""
-    c = np.clip(concurrences, 0.0, 1.0)
-    x = 0.5 + 0.5 * np.sqrt(1.0 - c * c)
-    return -(_xlog2x(x) + _xlog2x(1.0 - x))
+    c = np.minimum(np.maximum(concurrences, 0.0), 1.0)
+    x = np.empty((2,) + c.shape)
+    np.add(0.5, 0.5 * np.sqrt(1.0 - c * c), out=x[0])
+    np.subtract(1.0, x[0], out=x[1])
+    terms = _xlog2x(x)
+    return -(terms[0] + terms[1])
 
 
 def _factors(ghz, bell):
@@ -797,11 +852,12 @@ def _factors(ghz, bell):
     return factors
 
 
-def _records(points, ghz, bell):
-    """`VerificationRecord` of each point from its `_cat_vectors` weights:
-    every spectrum, concurrence and discord of all the points comes from one
-    stacked call per shape, and the deviations from one subtraction of the
-    closed-form values and the oracle's."""
+def _deviations(points, ghz, bell):
+    """Signed deviations, closed form minus oracle, of each point from its
+    `_cat_vectors` weights, as the rows of a (P, 16) array in FIELD_BOUNDS
+    order: every spectrum, concurrence and discord of all the points comes
+    from one stacked call per shape, and the deviations from one subtraction
+    of the closed-form values and the oracle's."""
     count = len(points)
     factors = _factors(ghz, bell)
     # rho12 and rho23, each measured on its left mode, then the Bell pair
@@ -814,14 +870,29 @@ def _records(points, ghz, bell):
     (s1, s2), (s12, s23) = single.reshape(2, count), joint.reshape(2, count)
     concurrences = _concurrences(factors)
     (c13, c23, c12), (e13, e23, e12) = concurrences.reshape(3, count), _eofs(concurrences).reshape(3, count)
-    c1_23 = 2.0 * np.sqrt(np.prod(np.maximum(lam[:count], 0.0), axis=1))
-    # one row per point, in FIELD_BOUNDS order
-    oracle = np.stack([s1, s2, s12, s23, c12, c23, c13, c1_23, e12, e23, e13, s1, s1, d12, d23, s1 - 2.0 * d12], axis=1)
+    c1_23 = 2.0 * np.sqrt(np.maximum(lam[:count], 0.0).prod(axis=1))
+    # one column per point, in FIELD_BOUNDS order
+    oracle = np.array([s1, s2, s12, s23, c12, c23, c13, c1_23, e12, e23, e13, s1, s1, d12, d23, s1 - 2.0 * d12])
     closed = np.array([_CLOSED_FIELDS(report(params)) for params in points])
+    return closed - oracle.T
+
+
+def _records(points, deviations):
+    """`VerificationRecord` of each point from its row of `_deviations`."""
     return [
-        VerificationRecord(params, dict(zip(FIELD_BOUNDS, deviations)), dict(FIELD_BOUNDS))
-        for params, deviations in zip(points, (closed - oracle).tolist())
+        VerificationRecord(params, dict(zip(FIELD_BOUNDS, row)), dict(FIELD_BOUNDS))
+        for params, row in zip(points, deviations.tolist())
     ]
+
+
+def _row_checks(deviations, bound_override=None):
+    """`VerificationRecord.passes` and `max_abs_deviation` of every row of
+    `_deviations`, as a (P,) bool and a (P,) float array, from one
+    comparison and one row max: a nan fails its row and is its max, as in
+    the record."""
+    magnitudes = np.abs(deviations)
+    bounds = _BOUNDS if bound_override is None else bound_override
+    return (magnitudes <= bounds).all(axis=1), magnitudes.max(axis=1)
 
 
 def verify_points(points, nmax=None):
@@ -831,7 +902,7 @@ def verify_points(points, nmax=None):
     points = list(points)
     if not points:
         return []
-    return _records(points, *_cat_vectors(points, nmax))
+    return _records(points, _deviations(points, *_cat_vectors(points, nmax)))
 
 
 def verify(params, nmax=None):
@@ -841,6 +912,9 @@ def verify(params, nmax=None):
 
 def verification_grid(alpha2_start=0.1, alpha2_stop=4.0, alpha2_steps=40, m_values=(0, 1, 2, 3, 4), k_values=(0, 1)):
     """Default verification grid: 40 strengths x 5 orders x 2 parities."""
+    if not (math.isfinite(alpha2_start) and math.isfinite(alpha2_stop)):
+        # refused before the grid formula, whose 0 * inf would show as a nan strength
+        raise ValueError(f"grid ends must be finite, got start={alpha2_start!r}, stop={alpha2_stop!r}")
     if alpha2_steps < 1:
         raise ValueError("need at least one grid point")
     if alpha2_steps > 1 and alpha2_start == alpha2_stop:

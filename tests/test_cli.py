@@ -4,8 +4,9 @@ import tracemalloc
 
 import pytest
 from csv_reference import sweep_csv_bytes
+from verify_reference import verify_csv
 
-from pacsqc import cli
+from pacsqc import cli, fock_oracle
 from pacsqc.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -453,11 +454,15 @@ class TestVerifyCommand:
         from pacsqc import fock_oracle
 
         # the states are built before --out is opened; the spectra and the
-        # minimizer run in _records, after it
+        # minimizer run in _deviations, after it
         calls = []
-        monkeypatch.setattr(fock_oracle, "_records", lambda *args, **kwargs: calls.append(args))
+        deviations = fock_oracle._deviations
+        monkeypatch.setattr(fock_oracle, "_deviations", lambda *args: calls.append(args) or deviations(*args))
         assert main(["verify", "--out", str(tmp_path / "missing" / "x.csv")]) == EXIT_IO
         assert calls == []
+        # the stand-in is the one the command calls once --out is open
+        assert main(["verify", "--steps", "1", "--m", "0", "--k", "0", "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_insufficient_nmax_is_usage_error_before_output(self, tmp_path, capsys):
         out = tmp_path / "verify.csv"
@@ -472,7 +477,7 @@ class TestVerifyCommand:
 
         calls = []
         check = fock_oracle._require_cat_pairs
-        monkeypatch.setattr(fock_oracle, "_require_cat_pairs", lambda points: calls.append(1) or check(points))
+        monkeypatch.setattr(fock_oracle, "_require_cat_pairs", lambda *args: calls.append(1) or check(*args))
         assert main(["verify", "--steps", "2", "--m", "1", "--k", "0", "--out", str(tmp_path / "v.csv")]) == EXIT_OK
         assert calls == [1]
 
@@ -517,6 +522,16 @@ class TestVerifyCommand:
         ]
 
 
+    @pytest.mark.parametrize("start, stop", [("1", "inf"), ("-inf", "1"), ("nan", "2")])
+    def test_non_finite_grid_end_is_named(self, tmp_path, capsys, start, stop):
+        # before, the grid formula's 0 * inf showed as "got nan"
+        out = tmp_path / "verify.csv"
+        code = main(["verify", f"--start={start}", "--stop", stop, "--steps", "2", "--m", "0", "--k", "0", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"grid ends must be finite, got start={float(start)!r}, stop={float(stop)!r}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("nmax", ["-3", "-1"])
     def test_negative_nmax_is_precise_error(self, tmp_path, capsys, nmax):
         out = tmp_path / "verify.csv"
@@ -527,6 +542,74 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
         assert f"nmax must be a non-negative integer, got {nmax}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestVerifyCsvBytes:
+    """The verify CSV and FAIL lines, written from the deviation matrix, are
+    byte for byte those of the record route in `verify_reference`."""
+
+    CASES = {
+        "default grid": [],
+        # the closed forms' domain of TestVerify.test_wide_grid_passes: its
+        # ends, its orders and both parities
+        "wide grid": ["--start", "1e-6", "--stop", "12", "--steps", "5", "--m", "0", "1", "2", "5", "8", "16", "32",
+                      "48", "64", "--k", "0", "1"],
+        "tolerance 0": ["--start", "0.5", "--stop", "3", "--steps", "4", "--m", "0", "2", "--k", "0", "1",
+                        "--tolerance", "0"],
+        "tolerance 1e-15": ["--start", "0.05", "--stop", "4", "--steps", "6", "--m", "1", "4", "--k", "0", "1",
+                            "--tolerance", "1e-15"],
+    }
+
+    def check(self, tmp_path, capsys, argv):
+        args = build_parser().parse_args(argv)
+        points = fock_oracle.verification_grid(args.start, args.stop, args.steps, tuple(args.m), tuple(args.k))
+        want, fails = verify_csv(points, args.tolerance)
+        out = tmp_path / "verify.csv"
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert out.read_bytes() == want
+        assert captured.err.splitlines() == fails
+        assert code == (EXIT_VERIFY if fails else EXIT_OK)
+        # without --out, the same FAIL lines and summary
+        assert main(argv) == code
+        assert capsys.readouterr() == captured
+        return fails
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_cli_equals_the_record_route(self, tmp_path, capsys, case):
+        fails = self.check(tmp_path, capsys, ["verify", *self.CASES[case]])
+        assert bool(fails) == case.startswith("tolerance")
+
+    @pytest.mark.parametrize("tolerance", [[], ["--tolerance", "0"]])
+    def test_nan_deviation_rows(self, tmp_path, capsys, monkeypatch, tolerance):
+        from dataclasses import replace
+
+        monkeypatch.setattr(fock_oracle, "report", lambda params: replace(report(params), D12=math.nan))
+        argv = ["verify", "--start", "0.5", "--stop", "1.5", "--steps", "2", "--m", "1", "--k", "0", "1", *tolerance]
+        assert len(self.check(tmp_path, capsys, argv)) == 4
+
+
+class TestVerifyCost:
+    """What a verify request builds, counted with stand-ins (no timing)."""
+
+    ARGV = ["verify", "--start", "0.5", "--stop", "3", "--steps", "3", "--m", "0", "2", "--k", "0", "1"]
+
+    def test_records_only_for_fail_lines(self, tmp_path, monkeypatch, capsys):
+        built = []
+        record = fock_oracle.VerificationRecord
+        monkeypatch.setattr(fock_oracle, "VerificationRecord", lambda *args: built.append(args) or record(*args))
+        assert main(self.ARGV + ["--out", str(tmp_path / "v.csv")]) == EXIT_OK
+        assert built == []
+        assert main(self.ARGV + ["--tolerance", "1e-15", "--out", str(tmp_path / "v.csv")]) == EXIT_VERIFY
+        fails = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL")]
+        assert len(built) == len(fails) > 0
+
+    def test_identical_requests_build_the_lift_table_once(self, tmp_path):
+        fock_oracle._lift_table.cache_clear()
+        for _ in range(2):
+            assert main(self.ARGV + ["--out", str(tmp_path / "v.csv")]) == EXIT_OK
+        info = fock_oracle._lift_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestThresholdCommand:

@@ -8,7 +8,7 @@ from pacsqc.special import binary_entropy, laguerre, pacs_overlap
 from pacsqc.states import LimitRegimeError, ModelParams, ghz_rho12, ghz_rho23
 from pacsqc import correlations, fock_oracle
 from pacsqc.correlations import report
-from pacsqc.fock_oracle import _AT_FLOOR, _CAPPED, _CONVERGED, _SY_SY, _mode_pairs, _superpositions
+from pacsqc.fock_oracle import _AT_FLOOR, _CAPPED, _CONVERGED, _SY_SY, _cat_vectors
 from pacsqc.fock_oracle import (
     FIELD_BOUNDS,
     DensityMatrix,
@@ -125,6 +125,24 @@ def random_points(count=200, seed=14):
     alpha2 = np.exp(rng.uniform(math.log(1e-4), math.log(12.0), count))
     orders, parities = rng.integers(0, 17, count), rng.integers(0, 2, count)
     return [ModelParams(float(a), int(m), int(k)) for a, m, k in zip(alpha2, orders, parities)]
+
+
+def wide_grid():
+    """The closed forms' domain, wider than the default grid: m up to 64,
+    alpha2 from 1e-6 to 12 and both parities, 1080 points."""
+    strengths = np.geomspace(1e-6, 12.0, 60).tolist()
+    return [ModelParams(a, m, k) for k in (0, 1) for m in (0, 1, 2, 5, 8, 16, 32, 48, 64) for a in strengths]
+
+
+def hyperdeterminant(a):
+    """Cayley's hyperdeterminant of each 2x2x2 array of the stack ``a``."""
+    a000, a001, a010, a011, a100, a101, a110, a111 = a.reshape(len(a), 8).T
+    return (
+        a000 * a000 * a111 * a111 + a001 * a001 * a110 * a110 + a010 * a010 * a101 * a101 + a100 * a100 * a011 * a011
+        - 2.0 * (a000 * a001 * a110 * a111 + a000 * a010 * a101 * a111 + a000 * a100 * a011 * a111
+                 + a001 * a010 * a101 * a110 + a001 * a100 * a011 * a110 + a010 * a100 * a011 * a101)
+        + 4.0 * (a000 * a011 * a101 * a110 + a001 * a010 * a100 * a111)
+    )
 
 
 def dilation_concurrences(data):
@@ -433,7 +451,7 @@ class TestEntropyAndConcurrence:
     def test_wootters_on_pure_coefficients(self, params):
         # on pure two-qubit projectors the spin-flip spectrum reduces to
         # 2 |C00 C11 - C01 C10|, here on the quasi-Bell cat coefficients
-        coeffs = _superpositions([params.sign], _mode_pairs([params], None))[0][0].reshape(2, 2)
+        coeffs = _cat_vectors([params], None)[1][0].reshape(2, 2)
         rho = np.outer(coeffs.reshape(4), coeffs.reshape(4).conj())
         pure = 2.0 * abs(coeffs[0, 0] * coeffs[1, 1] - coeffs[0, 1] * coeffs[1, 0])
         assert wootters_concurrence(rho) == pytest.approx(pure, abs=1e-10)
@@ -598,6 +616,27 @@ class TestDiscordNumeric:
             swapped = data.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 1, 4, 3).reshape(-1, 4, 4) if measured else data
             precise = [precise_conditional_entropy(rho, n) for rho, n in zip(swapped, minima.direction)]
             assert np.max(np.abs(minima.value - precise)) <= 1e-14
+
+    @pytest.mark.parametrize("measured", [0, 1])
+    def test_pauli_forms_equal_the_einsum(self, measured):
+        # the gathered four-term sums give the three-operand einsum's result
+        # bit for bit, the sign of a zero included, on real and complex
+        # stacks with exact zeros and on the verify grid's densities
+        rng = np.random.default_rng(5)
+        parts = rng.standard_normal((2, 4000, 4, 4)) * np.exp(rng.uniform(-20.0, 5.0, (2, 4000, 4, 4)))
+        parts[rng.random(parts.shape) < 0.3] = 0.0
+        parts[rng.random(parts.shape) < 0.1] = -0.0
+        real, imaginary = parts
+        stacks = [real, real + np.swapaxes(real, 1, 2), real + 1j * imaginary, reductions(verification_grid())]
+        stacks.append(stacks[2] + np.swapaxes(stacks[2], 1, 2).conj())
+        pauli = fock_oracle._PAULI
+        for data in stacks:
+            tensor = data.reshape(len(data), 2, 2, 2, 2)
+            if measured == 1:
+                tensor = tensor.transpose(0, 2, 1, 4, 3)
+            expected = np.einsum("zajbl,mba,nlj->zmn", tensor, pauli, pauli).real
+            got = fock_oracle._bloch(data, measured)
+            assert got.tobytes() == expected.tobytes() and got.flags.c_contiguous
 
     def test_grid_holds_each_axis_once(self):
         directions = fock_oracle._GRID_FEATURES[1:4].T
@@ -886,8 +925,9 @@ class TestVerify:
             # the spectra of rho1 and rho2, of the 4x4 densities and of the
             # concurrences' 2x2 tau matrices, with no eigh, no 8x8 dilation
             # and no svd; the reductions come from the cat vectors, so only
-            # rho1, rho2 and the Pauli forms are traced with einsum
-            assert counts == {("eigvalsh", (2, 2)): 2, ("eigvalsh", (4, 4)): 1, "einsum": 2}
+            # rho1 and rho2 are traced with einsum (the Pauli forms are sums
+            # of gathered entries)
+            assert counts == {("eigvalsh", (2, 2)): 2, ("eigvalsh", (4, 4)): 1, "einsum": 1}
 
     @pytest.mark.parametrize("alpha2", [0.0, 1e-20])
     def test_strength_without_odd_cat_is_refused(self, alpha2):
@@ -914,14 +954,52 @@ class TestVerify:
             broken = VerificationRecord(record.params, dict(record.deviations, **{name: math.nan}), record.bounds)
             assert math.isnan(broken.max_abs_deviation), name
 
+    def test_row_checks_agree_with_the_record(self):
+        # the CLI's pass/fail and row max come from the deviation matrix;
+        # they must be the record's, on nan, +-0, +-inf and deviations
+        # exactly at a bound, under the field bounds and override bounds
+        bounds = np.array(list(FIELD_BOUNDS.values()))
+        rows = [0.5 * bounds, bounds, -bounds, np.zeros(16), np.full(16, -0.0), np.nextafter(bounds, 1.0)]
+        for value in (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-8, -1e-3, 2e-3, np.nextafter(1e-8, 1.0)):
+            for i in range(16):
+                rows.append(0.5 * bounds)
+                rows[-1][i] = value
+        rows.append(np.where(np.arange(16) % 2, math.inf, math.nan))
+        deviations = np.array(rows)
+        records = fock_oracle._records([ModelParams(1.0)] * len(rows), deviations)
+        for override in (None, 0.0, 1e-8, 1e-3, 2e-3, math.inf):
+            passes, largest = fock_oracle._row_checks(deviations, override)
+            assert passes.tolist() == [record.passes(bound_override=override) for record in records]
+            expected = np.array([record.max_abs_deviation for record in records])
+            assert np.array_equal(largest, expected, equal_nan=True)
+            assert (np.signbit(largest) == np.signbit(expected)).all()
+        assert not passes[-1] and math.isnan(largest[-1])
+
     def test_wide_grid_passes(self):
-        # the closed forms' domain, wider than the default grid: m up to 64,
-        # alpha2 from 1e-6 to 12 and both parities, 1080 points
-        strengths = np.geomspace(1e-6, 12.0, 60).tolist()
-        points = [ModelParams(a, m, k) for k in (0, 1) for m in (0, 1, 2, 5, 8, 16, 32, 48, 64) for a in strengths]
-        records = verify_points(points)
+        records = verify_points(wide_grid())
         assert len(records) == 1080
         assert all(record.passes() for record in records)
+
+    def test_three_tangle_is_the_ckw_residual(self):
+        # For a pure three-qubit state the three-tangle 4 |Det a| of its
+        # weights is the CKW residual C1_23^2 - C12^2 - C13^2 (Coffman, Kundu
+        # & Wootters, PRA 61, 052306 (2000)); on the GHZ state C12 = C13.
+        # The weights come from `_cat_vectors`, the concurrences from the
+        # closed forms, so neither side takes the other's formula.
+        points = wide_grid()
+        tangle = 4.0 * np.abs(hyperdeterminant(fock_oracle._cat_vectors(points, None)[0]))
+        reports = [report(params) for params in points]
+        c1_23, c13 = np.array([(rep.C1_23_conc, rep.C13_conc) for rep in reports]).T
+        residual = c1_23 * c1_23 - 2.0 * c13 * c13
+        # Rounding: each squared closed-form concurrence is within 16 eps of
+        # itself (the residual cancels down to 1e-6 of them at small alpha2),
+        # and the one nonzero product of Det (a weight vanishes wherever its
+        # index has the wrong parity) takes four weights of a few eps each
+        # plus three products: 32 eps of the tangle
+        eps = np.finfo(float).eps
+        tol = 16.0 * eps * (c1_23 * c1_23 + 2.0 * c13 * c13) + 32.0 * eps * tangle
+        assert (np.abs(tangle - residual) <= tol).all()
+        assert tangle.min() > 0.0 and tangle.max() <= 1.0 + 4.0 * eps
 
     def test_grid_drops_repeated_orders_and_parities(self):
         assert verification_grid(0.5, 1.0, 2, (2, 0, 2), (1, 1)) == verification_grid(0.5, 1.0, 2, (0, 2), (1,))
@@ -935,6 +1013,12 @@ class TestVerify:
         assert verification_grid(1.0, 1.0, 1, (0,), (0,)) == [ModelParams(1.0, 0, 0)]
         # descending grids stay allowed
         assert verification_grid(2.0, 1.0, 2, (0,), (0,)) == [ModelParams(2.0, 0, 0), ModelParams(1.0, 0, 0)]
+
+    @pytest.mark.parametrize("start, stop, steps", [(1.0, math.inf, 2), (-math.inf, 1.0, 3), (math.nan, 1.0, 1)])
+    def test_grid_names_a_non_finite_end(self, start, stop, steps):
+        # before, 0 * inf in the grid formula gave "got nan"
+        with pytest.raises(ValueError, match=rf"grid ends must be finite, got start={start!r}, stop={stop!r}$"):
+            verification_grid(start, stop, steps, (0,), (0,))
 
     def test_default_grid_shape(self):
         grid = verification_grid()
